@@ -40,11 +40,18 @@ level.  Over ``p`` in [1.01, 1e4], ``|a|`` in [1e-8, 1e4] and ``lam`` in
 [1e-10, 10] every lane freezes within 5 steps and agrees with the exact
 root to `EXIT_TOL` relative.
 
+Lanes converge at different rates, above all when each neuron has its
+own ``p``.  `evaluate_many` therefore steps the full array only while
+most lanes still move; once at most half of its working set does, it
+gathers the moving lanes into compact arrays and steps only those.  Each
+lane's arithmetic is the same either way, so outputs do not depend on
+batching or gathering.
+
 Both derivative routines differentiate the implicit equation at the
 converged output, so they take ``v`` (not ``a``) as their argument.  They
 share the factor ``lam*p*|v|**(p-2)``, and dv/dp also needs ``log|v|``
-(`derivative_terms`); a forward pass computes both once per layer and
-backpropagation passes them back in.
+(`derivative_terms`).  Backpropagation computes both once per layer and
+passes them to both routines; a forward pass computes neither.
 """
 
 from __future__ import annotations
@@ -198,11 +205,19 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
     pass: identity when ``lam == 0``, otherwise at most ``inner_iters``
     monotone Newton steps per lane from an upper bound of the root (the
     closed form is the first step when ``p == 2``; see the module
-    docstring for the variable, start and stop rule).  Each lane freezes
-    on its own relative step, so results are identical no matter how
-    inputs are batched.  Constants that depend only on ``p`` are computed
-    on ``p`` before broadcasting, so a row of per-neuron exponents costs
-    one evaluation per neuron, not per lane.
+    docstring for the variable, start and stop rule).  Constants that
+    depend only on ``p`` are computed on ``p`` before broadcasting, so a
+    row of per-neuron exponents costs one evaluation per neuron, not per
+    lane.
+
+    Each lane freezes on its own relative step.  Steps run over the whole
+    array until at most half of the working set still moves; then the
+    working set is gathered down to the moving lanes (with their ``x``,
+    ``y`` and per-lane copies of the ``p`` constants), and the frozen
+    lanes are written back.  So a step's cost follows the lanes still
+    moving, all gathers together copy less than twice the array, and
+    every lane computes exactly what it would alone: outputs do not
+    depend on how inputs are batched.
 
     ``v0`` optionally provides a starting magnitude ``|v0|`` per lane,
     clamped to the upper bound.  It is used only where it is an upper
@@ -244,26 +259,53 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
             above = w * (d + k * w**nm1) >= x
             np.copyto(y, w, where=above)
 
-        km1 = k * nm1
-        kn = k * n
+        # The working set starts as every lane of y, constants broadcast
+        # from p.  Once at most half of it still moves it is gathered down
+        # to the moving lanes: `lanes` (flat indices into y), their x and y,
+        # and per-lane copies of the p-only constants.
+        y = np.ascontiguousarray(y)
+        y_flat = y.reshape(-1)
+        lanes = None
+        xs, ys = x, y
+        consts = (nm1, k * nm1, k * n, d, tol1)
         active = np.ones(shape, dtype=bool)
         u = np.empty(shape)
         y_new = np.empty(shape)
         moving = np.empty(shape, dtype=bool)
         for _ in range(inner_iters):
-            np.power(y, nm1, out=u)
-            np.multiply(u, km1, out=y_new)
-            y_new *= y
-            y_new += x
-            u *= kn
-            u += d
+            c_nm1, c_km1, c_kn, c_d, c_tol1 = consts
+            np.power(ys, c_nm1, out=u)
+            np.multiply(u, c_km1, out=y_new)
+            y_new *= ys
+            y_new += xs
+            u *= c_kn
+            u += c_d
             y_new /= u
-            np.multiply(y_new, tol1, out=u)
-            np.greater(y, u, out=moving)
-            np.copyto(y, y_new, where=active)
+            np.multiply(y_new, c_tol1, out=u)
+            np.greater(ys, u, out=moving)
+            np.copyto(ys, y_new, where=active)
             active &= moving
-            if not active.any():
+            count = np.count_nonzero(active)
+            if count == 0:
                 break
+            if 2 * count > active.size:
+                continue
+            sel = np.flatnonzero(active)
+            if lanes is None:
+                p_index = np.arange(p.size).reshape(p.shape)
+                p_index = np.broadcast_to(p_index, shape).reshape(-1)[sel]
+                consts = tuple(c.reshape(-1)[p_index] for c in consts)
+                lanes, xs, ys = sel, x.reshape(-1)[sel], y_flat[sel]
+            else:
+                y_flat[lanes] = ys
+                consts = tuple(c[sel] for c in consts)
+                lanes, xs, ys = lanes[sel], xs[sel], ys[sel]
+            active = np.ones(count, dtype=bool)
+            u = u.reshape(-1)[:count]
+            y_new = y_new.reshape(-1)[:count]
+            moving = moving.reshape(-1)[:count]
+        if lanes is not None:
+            y_flat[lanes] = ys
 
         if low.any():
             y = np.where(low, y**n, y)

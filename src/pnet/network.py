@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activation import P_MAX, P_MIN, derivative_terms, evaluate_many
+from .activation import P_MAX, P_MIN, evaluate_many
 
 __all__ = [
     "HEADS",
@@ -84,22 +84,18 @@ class PNetwork:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations, outputs and derivative terms cached by a forward pass.
+    """Per-layer pre-activations and outputs cached by a forward pass.
 
     ``activations[k]`` holds a^{k+1} and ``outputs[k+1]`` holds v^{k+1},
     with ``outputs[0]`` the input batch itself; all arrays are N x r.
     The implicit bias input v_0 = 1 is applied at use sites, not stored.
-    For an implicit layer ``powers[k]`` and ``log_outputs[k]`` hold
-    lam*p*|v|**(p-2) and log|v| at v^{k+1} (see
-    `pnet.activation.derivative_terms`), from which backpropagation forms
-    dv/da and dv/dp without further powers or logarithms; both are None
-    on a softmax layer.
+    Derivative terms are not cached: backpropagation forms them from the
+    outputs (`pnet.activation.derivative_terms`), so a forward pass that
+    is never backpropagated does not pay for them.
     """
 
     activations: list[np.ndarray] = field(default_factory=list)
     outputs: list[np.ndarray] = field(default_factory=list)
-    powers: list[np.ndarray | None] = field(default_factory=list)
-    log_outputs: list[np.ndarray | None] = field(default_factory=list)
 
 
 def init_network(
@@ -151,14 +147,9 @@ def forward_batch(net: PNetwork, X: np.ndarray, inner_iters: int = 100) -> Forwa
         trace.activations.append(A)
         if net.head == "classification" and k == m - 1:
             V = softmax(A)
-            power = log_v = None
         else:
-            pk = net.p_values[k][None, :]
-            V = evaluate_many(A, pk, net.lam, inner_iters)
-            power, log_v = derivative_terms(V, pk, net.lam)
+            V = evaluate_many(A, net.p_values[k][None, :], net.lam, inner_iters)
         trace.outputs.append(V)
-        trace.powers.append(power)
-        trace.log_outputs.append(log_v)
     return trace
 
 

@@ -19,6 +19,7 @@ from .activation import (
     _dv_da_scalar,
     _dv_dp_scalar,
     _solve_scalar,
+    derivative_terms,
     dv_da_many,
     dv_dp_many,
 )
@@ -136,10 +137,11 @@ def backprop_batch(
         delta = err * yhat * (1.0 - yhat)
     else:
         p_out = net.p_values[-1][None, :]
-        power, log_v = trace.powers[-1], trace.log_outputs[-1]
-        delta = err * dv_da_many(yhat, p_out, net.lam, power)
+        power = None
         if compute_p:
+            power, log_v = derivative_terms(yhat, p_out, net.lam)
             p_grads[-1] = np.mean(err * dv_dp_many(yhat, p_out, net.lam, power, log_v), axis=0)
+        delta = err * dv_da_many(yhat, p_out, net.lam, power)
 
     for k in range(m - 1, -1, -1):
         V_prev = trace.outputs[k]
@@ -151,8 +153,9 @@ def backprop_batch(
         S = delta @ net.weights[k][:, 1:]
         V = trace.outputs[k]
         pk = net.p_values[k - 1][None, :]
-        power, log_v = trace.powers[k - 1], trace.log_outputs[k - 1]
+        power = None
         if compute_p:
+            power, log_v = derivative_terms(V, pk, net.lam)
             p_grads[k - 1] = np.mean(dv_dp_many(V, pk, net.lam, power, log_v) * S, axis=0)
         delta = dv_da_many(V, pk, net.lam, power) * S
 

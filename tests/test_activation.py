@@ -416,6 +416,57 @@ class TestNewtonKernel:
                 assert abs(got - cold) <= 1e-12 * max(1.0, abs(a[0]))
 
 
+class TestGatheredWorkingSet:
+    # An ex2a-shaped layer: six p = 100 columns whose lanes (|a| <= 0.5,
+    # lam = 0.1) all freeze after one step, next to a p = 1.01 column whose
+    # lanes take up to five steps and a p = 1.97 column whose lanes take
+    # three.  The working set is gathered after step 1, when under a
+    # quarter of it still moves, and again once under half of the rest
+    # does (720 and then 313 lanes).
+    P_ROW = np.array([[100.0] * 6 + [1.01, 1.97]])
+    LAM = 0.1
+
+    def _inputs(self):
+        rng = np.random.default_rng(30)
+        return rng.uniform(-0.5, 0.5, (400, self.P_ROW.shape[1]))
+
+    def _lane_by_lane(self, a, p, v0=None):
+        # One-lane calls, which never gather.
+        a, p = np.broadcast_arrays(a, p)
+        out = np.empty(a.shape)
+        for idx in np.ndindex(a.shape):
+            w = None if v0 is None else v0[idx]
+            out[idx] = evaluate_many(a[idx], p[idx], self.LAM, 10, v0=w)
+        return out
+
+    def test_gathered_lanes_match_single_lanes(self):
+        a = self._inputs()
+        v = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10)
+        assert_array_equal(v, self._lane_by_lane(a, self.P_ROW))
+        assert_array_equal(v, evaluate_many(a, self.P_ROW, self.LAM, inner_iters=100))
+        # Gathered lanes are written back by flat index, whatever the layout.
+        assert_array_equal(v, evaluate_many(np.asfortranarray(a), self.P_ROW, self.LAM, inner_iters=10))
+
+    def test_gathered_lanes_with_warm_start(self):
+        a = self._inputs()
+        cold = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10)
+        # Above the root on even rows (used), below it on odd rows (ignored).
+        v0 = cold * np.where(np.arange(a.shape[0]) % 2 == 0, 1.5, 0.5)[:, None]
+        warm = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10, v0=v0)
+        assert_array_equal(warm, self._lane_by_lane(a, self.P_ROW, v0))
+        assert_allclose(warm, cold, rtol=1e-12, atol=0)
+
+    def test_broadcast_shapes(self):
+        a = self._inputs()[:, :1]
+        v = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10)
+        assert v.shape == (a.shape[0], self.P_ROW.shape[1])
+        assert_array_equal(v, self._lane_by_lane(a, self.P_ROW))
+        p = np.concatenate([np.full(30, 100.0), np.linspace(1.01, 1.97, 10)])
+        v = evaluate_many(0.3, p, self.LAM, inner_iters=10)
+        assert v.shape == p.shape
+        assert_array_equal(v, self._lane_by_lane(np.float64(0.3), p))
+
+
 class TestDerivativeTerms:
     def test_cached_terms_reproduce_derivatives(self):
         rng = np.random.default_rng(29)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pnet.activation import derivative_terms, evaluate_many
+from pnet.activation import evaluate_many
 from pnet.network import (
     ModelFormatError,
     PNetwork,
@@ -116,21 +116,6 @@ class TestForward:
             V = evaluate_many(A, net.p_values[k][None, :], net.lam)
             assert_allclose(trace.outputs[k + 1], V, rtol=0, atol=1e-12)
         assert trace.outputs[0] is X or np.array_equal(trace.outputs[0], X)
-
-    def test_trace_carries_derivative_terms(self):
-        for head in ("regression", "classification"):
-            net = init_network([3, 4, 2], head, lam=1.0, initial_p=2.5, seed=6)
-            net.p_values[0] = np.array([1.2, 2.0, 3.5, 40.0])
-            X = np.random.default_rng(44).standard_normal((5, 3))
-            trace = forward_batch(net, X)
-            assert len(trace.powers) == len(trace.log_outputs) == 2
-            for k in range(net.n_layers):
-                if net.p_values[k] is None:
-                    assert trace.powers[k] is None and trace.log_outputs[k] is None
-                    continue
-                power, log_v = derivative_terms(trace.outputs[k + 1], net.p_values[k][None, :], net.lam)
-                assert_array_equal(trace.powers[k], power)
-                assert_array_equal(trace.log_outputs[k], log_v)
 
     def test_classification_output_is_distribution(self):
         net = init_network([3, 4, 3], "classification", lam=1.0, initial_p=3.0, seed=5)

@@ -118,8 +118,8 @@ class TestBackprop:
         assert all(g is None for g in pg)
 
     def test_cached_terms_match_recomputed_derivatives(self):
-        # Reference: the same recursion with dv/da and dv/dp recomputed
-        # from each layer's outputs instead of read from the trace.
+        # Reference: the same recursion with dv/da and dv/dp each computed
+        # on its own, instead of from one shared `derivative_terms` call.
         for head in ("regression", "classification"):
             net = init_network([3, 5, 4, 2], head, lam=0.5, initial_p=2.5, seed=5)
             net.p_values[0] = np.array([1.05, 1.7, 2.0, 6.0, 300.0])
