@@ -6,14 +6,24 @@ from .activation import (
     dv_dp,
     eval_p2,
     evaluate,
+    fixed_deriv,
+    fixed_eval,
     method1_step,
     method2_step,
     residual,
     threshold_input,
 )
-from .baseline import BaselineNetwork, fixed_eval, fixed_deriv, nguyen_widrow_init
 from .data import Dataset, gen_abs, gen_activity_standin, gen_sign, gen_square, split_train_test
-from .network import ForwardTrace, PNetwork, forward, init_network, load_network, predict, save_network
+from .network import (
+    ForwardTrace,
+    PNetwork,
+    forward,
+    init_network,
+    load_network,
+    nguyen_widrow_init,
+    predict,
+    save_network,
+)
 from .oracle import BracketingInterval, GradientCheckReport, bisect_activation, check_network_gradients, finite_diff
 from .training import TrainConfig, TrainLog, TrainingDivergedError, backprop, classification_error, mse, train
 

@@ -52,6 +52,11 @@ converged output, so they take ``v`` (not ``a``) as their argument.  They
 share the factor ``lam*p*|v|**(p-2)``, and dv/dp also needs ``log|v|``
 (`derivative_terms`).  Backpropagation computes both once per layer and
 passes them to both routines; a forward pass computes neither.
+
+A network layer applies one activation kind (`ACTIVATION_KINDS`): the
+implicit activation above, the only kind with a trainable ``p``, or one
+of the fixed classical kinds evaluated by `fixed_eval` and
+differentiated by `fixed_deriv`.
 """
 
 from __future__ import annotations
@@ -79,6 +84,10 @@ __all__ = [
     "dv_da_many",
     "dv_dp",
     "dv_dp_many",
+    "ACTIVATION_KINDS",
+    "softmax",
+    "fixed_eval",
+    "fixed_deriv",
 ]
 
 P_MIN = 1.01
@@ -470,3 +479,45 @@ def dv_dp(v, params: ActivationParams):
     logarithm diverges) and finite for every ``v`` and trainable ``p``.
     """
     return _scalar_or_array(dv_dp_many(v, params.p, params.lam))
+
+
+# --- fixed activation kinds ------------------------------------------------
+
+ACTIVATION_KINDS = ("implicit", "satlins", "tansig", "purelin", "softmax")
+
+
+def softmax(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, stabilized by subtracting the row max."""
+    z = np.exp(a - np.max(a, axis=-1, keepdims=True))
+    return z / np.sum(z, axis=-1, keepdims=True)
+
+
+def fixed_eval(kind: str, a: np.ndarray) -> np.ndarray:
+    """Evaluate a fixed activation elementwise (softmax: across the row)."""
+    a = np.asarray(a, dtype=float)
+    if kind == "satlins":
+        return np.clip(a, -1.0, 1.0)
+    if kind == "tansig":
+        return 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
+    if kind == "purelin":
+        return a.copy()
+    if kind == "softmax":
+        return softmax(a)
+    raise ValueError(f"unknown fixed activation kind {kind!r}")
+
+
+def fixed_deriv(kind: str, a: np.ndarray) -> np.ndarray:
+    """Elementwise derivative of a fixed activation at pre-activation a.
+
+    The softmax kind is excluded: its output-layer delta is assembled
+    directly in `pnet.training.backprop_batch`.
+    """
+    a = np.asarray(a, dtype=float)
+    if kind == "satlins":
+        return ((a > -1.0) & (a < 1.0)).astype(float)
+    if kind == "tansig":
+        t = 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
+        return 1.0 - t * t
+    if kind == "purelin":
+        return np.ones_like(a)
+    raise ValueError(f"no elementwise derivative for activation kind {kind!r}")

@@ -1,257 +1,30 @@
-"""Fixed-activation feedforward baseline networks.
+"""Former baseline-network names, kept as aliases for the benchmark.
 
-These nets use classical activations (saturating linear, hyperbolic
-tangent sigmoid, identity, softmax) with Nguyen-Widrow initialization and
-plain batch gradient descent, serving as the reference point that the
-adaptive-p networks are compared against.
+Fixed-activation baselines are ordinary `pnet.network.PNetwork` nets whose
+layers carry fixed activation kinds; they are built by
+`pnet.network.nguyen_widrow_init` and run through
+`pnet.network.forward_batch`, `pnet.training.backprop_batch` and
+`pnet.training.train`.  The benchmark's worker and tracer
+(``perfbench/worker.py``, ``perfbench/tracing.py``) still look these names
+up here; the module goes once they use the names above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import replace
 
 from .data import Dataset
-from .network import ForwardTrace, _LineReader, fmt_float, softmax
-from .training import TrainConfig, TrainLog, TrainingDivergedError, mse
+from .network import PNetwork, forward_batch, nguyen_widrow_init
+from .training import TrainConfig, TrainLog, backprop_batch, mse, train
 
-__all__ = [
-    "ACTIVATION_KINDS",
-    "BaselineNetwork",
-    "fixed_eval",
-    "fixed_deriv",
-    "nguyen_widrow_init",
-    "forward_batch_fixed",
-    "backprop_batch_fixed",
-    "train_fixed",
-    "save_baseline",
-]
+__all__ = ["mse", "nguyen_widrow_init", "forward_batch_fixed", "backprop_batch_fixed", "train_fixed"]
 
-ACTIVATION_KINDS = ("satlins", "tansig", "purelin", "softmax")
-
-
-def fixed_eval(kind: str, a: np.ndarray) -> np.ndarray:
-    """Evaluate a fixed activation elementwise (softmax: across the row)."""
-    a = np.asarray(a, dtype=float)
-    if kind == "satlins":
-        return np.clip(a, -1.0, 1.0)
-    if kind == "tansig":
-        return 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
-    if kind == "purelin":
-        return a.copy()
-    if kind == "softmax":
-        return softmax(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def fixed_deriv(kind: str, a: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of a fixed activation at pre-activation a.
-
-    The softmax kind is excluded: its output-layer delta is assembled
-    directly in `backprop_batch_fixed`.
-    """
-    a = np.asarray(a, dtype=float)
-    if kind == "satlins":
-        return ((a > -1.0) & (a < 1.0)).astype(float)
-    if kind == "tansig":
-        t = 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
-        return 1.0 - t * t
-    if kind == "purelin":
-        return np.ones_like(a)
-    raise ValueError(f"no elementwise derivative for activation kind {kind!r}")
-
-
-@dataclass
-class BaselineNetwork:
-    """Layer sizes, weights (bias = column 0), and per-layer activation kinds."""
-
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    activations: list[str]
-    head: str
-
-    def validate(self) -> None:
-        sizes = self.layer_sizes
-        if len(sizes) < 2 or any(int(r) != r or r < 1 for r in sizes):
-            raise ValueError(f"layer_sizes must be >= 2 positive integers, got {sizes}")
-        if self.head not in ("regression", "classification"):
-            raise ValueError(f"bad head {self.head!r}")
-        m = len(sizes) - 1
-        if len(self.weights) != m or len(self.activations) != m:
-            raise ValueError("need one weight matrix and one activation kind per layer")
-        for k in range(m):
-            want = (sizes[k + 1], sizes[k] + 1)
-            if self.weights[k].shape != want:
-                raise ValueError(f"layer {k + 1}: weight shape {self.weights[k].shape}, expected {want}")
-            kind = self.activations[k]
-            if kind not in ACTIVATION_KINDS:
-                raise ValueError(f"layer {k + 1}: unknown activation {kind!r}")
-            if kind == "softmax" and k != m - 1:
-                raise ValueError("softmax is only valid on the output layer")
-        if self.head == "classification" and self.activations[-1] != "softmax":
-            raise ValueError("classification baseline needs a softmax output layer")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    def copy(self) -> "BaselineNetwork":
-        return BaselineNetwork(
-            layer_sizes=list(self.layer_sizes),
-            weights=[W.copy() for W in self.weights],
-            activations=list(self.activations),
-            head=self.head,
-        )
-
-
-def nguyen_widrow_init(
-    layer_sizes,
-    head: str,
-    seed: int,
-    hidden_kind: str | None = None,
-    output_kind: str | None = None,
-) -> BaselineNetwork:
-    """Nguyen-Widrow initialization: per layer with fan-in n and h neurons,
-    weight rows drawn uniform in [-1, 1] are rescaled to magnitude
-    beta = 0.7 * h**(1/n), and biases are spread uniformly over
-    [-beta, beta] with alternating sign (a single neuron gets bias 0).
-    """
-    sizes = [int(r) for r in layer_sizes]
-    m = len(sizes) - 1
-    if hidden_kind is None:
-        hidden_kind = "satlins" if head == "regression" else "tansig"
-    if output_kind is None:
-        output_kind = "purelin" if head == "regression" else "softmax"
-    kinds = [hidden_kind] * (m - 1) + [output_kind]
-    rng = np.random.default_rng(seed)
-    weights = []
-    for k in range(m):
-        n, h = sizes[k], sizes[k + 1]
-        beta = 0.7 * h ** (1.0 / n)
-        W = rng.uniform(-1.0, 1.0, size=(h, n))
-        W *= beta / np.linalg.norm(W, axis=1, keepdims=True)
-        if h == 1:
-            b = np.zeros(1)
-        else:
-            b = beta * np.linspace(-1.0, 1.0, h) * (-1.0) ** np.arange(h)
-        weights.append(np.concatenate([b[:, None], W], axis=1))
-    net = BaselineNetwork(layer_sizes=sizes, weights=weights, activations=kinds, head=head)
-    net.validate()
-    return net
-
-
-def forward_batch_fixed(net: BaselineNetwork, X: np.ndarray) -> ForwardTrace:
-    """Evaluate the baseline on an N x r0 batch, caching the full trace."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input batch must be N x {net.layer_sizes[0]}, got {X.shape}")
-    trace = ForwardTrace(outputs=[X])
-    V = X
-    for k in range(net.n_layers):
-        W = net.weights[k]
-        A = V @ W[:, 1:].T + W[:, 0]
-        trace.activations.append(A)
-        V = fixed_eval(net.activations[k], A)
-        trace.outputs.append(V)
-    return trace
-
-
-def backprop_batch_fixed(net: BaselineNetwork, trace: ForwardTrace, targets: np.ndarray) -> list[np.ndarray]:
-    """Batch-mean weight gradients of the half-MSE for a baseline net.
-
-    The softmax output layer uses the elementwise delta
-    (yhat - y) * yhat * (1 - yhat), matching the classification head of
-    the p-network training rules.
-    """
-    Y = np.asarray(targets, dtype=float)
-    m = net.n_layers
-    yhat = trace.outputs[-1]
-    if Y.shape != yhat.shape:
-        raise ValueError(f"targets {Y.shape} do not match outputs {yhat.shape}")
-    n = Y.shape[0]
-    err = yhat - Y
-    if net.activations[-1] == "softmax":
-        delta = err * yhat * (1.0 - yhat)
-    else:
-        delta = err * fixed_deriv(net.activations[-1], trace.activations[-1])
-    grads: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-    for k in range(m - 1, -1, -1):
-        V_prev = trace.outputs[k]
-        grads[k] = np.concatenate([np.sum(delta, axis=0)[:, None], delta.T @ V_prev], axis=1) / n
-        if k == 0:
-            break
-        S = delta @ net.weights[k][:, 1:]
-        delta = fixed_deriv(net.activations[k - 1], trace.activations[k - 1]) * S
-    return grads
+forward_batch_fixed = forward_batch
+backprop_batch_fixed = backprop_batch
 
 
 def train_fixed(
-    net: BaselineNetwork,
-    data: Dataset,
-    cfg: TrainConfig,
-    max_gradient: float = 1e-4,
-) -> tuple[BaselineNetwork, TrainLog]:
-    """Batch gradient descent on a baseline net.
-
-    Stops before an update whenever the largest weight-gradient magnitude
-    falls below ``max_gradient``, or after ``max_iters`` updates, or as
-    soon as the measured error drops below ``max_error``.
-    """
-    if (data.task == "classification") != (net.head == "classification"):
-        raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
-    if not (np.isfinite(max_gradient) and max_gradient >= 0):
-        raise ValueError(f"max_gradient must be finite and >= 0, got {max_gradient}")
-    net = net.copy()
-    X, Y = data.inputs, data.targets
-    errors: list[float] = []
-    trace = forward_batch_fixed(net, X)
-    for it in range(cfg.max_iters):
-        grads = backprop_batch_fixed(net, trace, Y)
-        if max(np.max(np.abs(g)) for g in grads) < max_gradient:
-            break
-        for k in range(net.n_layers):
-            net.weights[k] -= cfg.alpha_w * grads[k]
-        if not all(np.all(np.isfinite(W)) for W in net.weights):
-            raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-        trace = forward_batch_fixed(net, X)
-        e = mse(trace.outputs[-1], Y)
-        if not np.isfinite(e):
-            raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")
-        errors.append(e)
-        if e < cfg.max_error:
-            break
-    return net, TrainLog(errors=np.array(errors))
-
-
-def save_baseline(net: BaselineNetwork, path: str) -> None:
-    """Write a baseline net in the shared plain-text model format."""
-    net.validate()
-    lines = [
-        "baseline 1",
-        f"head {net.head}",
-        "layer_sizes " + " ".join(str(r) for r in net.layer_sizes),
-    ]
-    for k in range(net.n_layers):
-        lines.append(f"layer {k + 1}")
-        lines.append(f"activation {net.activations[k]}")
-        for row in net.weights[k]:
-            lines.append("w " + " ".join(fmt_float(v) for v in row))
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _load_baseline(r: _LineReader) -> BaselineNetwork:
-    head = r.next("head")[1]
-    sizes = [int(v) for v in r.next("layer_sizes")[1:]]
-    weights, kinds = [], []
-    for k in range(len(sizes) - 1):
-        r.next("layer")
-        kinds.append(r.next("activation")[1])
-        rows = [r.floats(r.next("w")[1:], sizes[k] + 1, "weights") for _ in range(sizes[k + 1])]
-        weights.append(np.array(rows))
-    r.next("end")
-    net = BaselineNetwork(layer_sizes=sizes, weights=weights, activations=kinds, head=head)
-    net.validate()
-    return net
+    net: PNetwork, data: Dataset, cfg: TrainConfig, max_gradient: float = 1e-4
+) -> tuple[PNetwork, TrainLog]:
+    """`train` with full-batch updates and the gradient-norm stop ``max_gradient``."""
+    return train(net, data, replace(cfg, update="batch", max_gradient=max_gradient))

@@ -21,13 +21,6 @@ import numpy as np
 
 from . import __version__
 from .activation import dv_da_many, evaluate_many
-from .baseline import (
-    BaselineNetwork,
-    forward_batch_fixed,
-    nguyen_widrow_init,
-    save_baseline,
-    train_fixed,
-)
 from .data import (
     Dataset,
     gen_abs,
@@ -38,7 +31,7 @@ from .data import (
     save_csv,
     split_train_test,
 )
-from .network import forward_batch, init_network, load_network, save_network, fmt_float
+from .network import fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from .oracle import check_network_gradients, random_check_case
 from .training import (
     TrainConfig,
@@ -182,7 +175,7 @@ def _make_datasets(cfg: dict, seeds: list[int]):
 
 
 def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
-    inner = cfg["activation_iterations"]
+    """Train one variant; baselines always take full-batch steps."""
     if variant == "baseline":
         net = nguyen_widrow_init(
             cfg["layer_sizes"],
@@ -191,31 +184,26 @@ def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
             hidden_kind=cfg["baseline_hidden"],
             output_kind=cfg["baseline_output"],
         )
-        tc = TrainConfig(
-            alpha_w=cfg["alpha_w"],
-            alpha_p=0.0,
-            max_iters=cfg["max_iterations"],
-            max_error=cfg["max_error"],
-            inner_iters=inner,
+        alpha_p, update, max_gradient = 0.0, "batch", cfg["baseline_max_gradient"]
+    else:
+        net = init_network(
+            cfg["layer_sizes"],
+            cfg["head"],
+            cfg["lambda"],
+            cfg["initial_p_hidden"],
             seed=seed,
+            initial_p_output=cfg.get("initial_p_output"),
         )
-        return train_fixed(net, data, tc, max_gradient=cfg["baseline_max_gradient"])
-    net = init_network(
-        cfg["layer_sizes"],
-        cfg["head"],
-        cfg["lambda"],
-        cfg["initial_p_hidden"],
-        seed=seed,
-        initial_p_output=cfg.get("initial_p_output"),
-    )
+        alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
+        update, max_gradient = cfg["update"], 0.0
     tc = TrainConfig(
         alpha_w=cfg["alpha_w"],
-        alpha_p=cfg["alpha_p"] if variant == "adaptive" else 0.0,
+        alpha_p=alpha_p,
         max_iters=cfg["max_iterations"],
         max_error=cfg["max_error"],
-        inner_iters=inner,
-        seed=seed,
-        update=cfg["update"],
+        inner_iters=cfg["activation_iterations"],
+        update=update,
+        max_gradient=max_gradient,
     )
     return train(net, data, tc)
 
@@ -223,17 +211,12 @@ def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
 def _final_errors(cfg: dict, net, train_data: Dataset, test_data: Dataset | None, grid=None):
     """(train_error, test_error) recomputed from the trained network."""
     inner = cfg["activation_iterations"]
-    is_baseline = isinstance(net, BaselineNetwork)
     if cfg["head"] == "classification":
         e_train = classification_error(net, train_data, inner)
         e_test = classification_error(net, test_data, inner)
         return e_train, e_test, None
-    if is_baseline:
-        yhat_train = forward_batch_fixed(net, train_data.inputs).outputs[-1]
-        yhat_grid = forward_batch_fixed(net, grid[0]).outputs[-1]
-    else:
-        yhat_train = forward_batch(net, train_data.inputs, inner).outputs[-1]
-        yhat_grid = forward_batch(net, grid[0], inner).outputs[-1]
+    yhat_train = forward_batch(net, train_data.inputs, inner).outputs[-1]
+    yhat_grid = forward_batch(net, grid[0], inner).outputs[-1]
     return mse(yhat_train, train_data.targets), mse(yhat_grid, grid[1]), yhat_grid
 
 
@@ -293,7 +276,7 @@ def run_experiment(
                     pred_rows.append([variant, str(s), _g(xg), _g(yt), _g(yp)])
             summary_rows.append([variant, str(s), _g(e_train), _g(e_test)])
             model_path = os.path.join(model_dir, f"{variant}_seed{s}.txt")
-            (save_baseline if isinstance(net, BaselineNetwork) else save_network)(net, model_path)
+            save_network(net, model_path)
             rec = {
                 "variant": variant,
                 "seed": s,
@@ -422,8 +405,7 @@ def cmd_train(args) -> int:
     tc = TrainConfig(
         alpha_w=cfg["alpha_w"], alpha_p=cfg["alpha_p"],
         max_iters=cfg["max_iterations"], max_error=cfg["max_error"],
-        inner_iters=cfg["activation_iterations"],
-        seed=cfg["seed"], update=cfg["update"],
+        inner_iters=cfg["activation_iterations"], update=cfg["update"],
     )
     trained, log = train(net, data, tc)
     save_network(trained, args.model)
@@ -437,10 +419,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net = load_network(args.model)
     data = load_csv(args.data)
-    if isinstance(net, BaselineNetwork):
-        yhat = forward_batch_fixed(net, data.inputs).outputs[-1]
-    else:
-        yhat = forward_batch(net, data.inputs, args.inner_iters).outputs[-1]
+    yhat = forward_batch(net, data.inputs, args.inner_iters).outputs[-1]
     print(f"mse {_g(mse(yhat, data.targets))}")
     if data.task == "classification":
         err = classification_error(net, data, args.inner_iters)

@@ -1,11 +1,18 @@
 """Network structure and forward evaluation.
 
-A `PNetwork` is a fully connected feedforward net whose neurons apply the
-implicit consensus activation with a per-neuron shape exponent p.  Biases
-are stored as weight column 0 against a fixed virtual input of 1, so one
-matrix per layer carries everything and the gradient formulas stay uniform.
-A classification head replaces the last layer's activation with a softmax
-over the pre-activations; that layer then has no p values.
+A `PNetwork` is a fully connected feedforward net.  Each layer is a weight
+matrix plus an activation kind (`pnet.activation.ACTIVATION_KINDS`):
+``implicit`` layers apply the implicit consensus activation with a
+per-neuron shape exponent p; the fixed kinds (saturating linear,
+hyperbolic tangent sigmoid, identity, softmax) carry no p.  Biases are
+stored as weight column 0 against a fixed virtual input of 1, so one
+matrix per layer carries everything and the gradient formulas stay
+uniform.  A classification head ends in a softmax layer.
+
+`init_network` builds the implicit-activation nets the paper trains;
+`nguyen_widrow_init` builds the fixed-activation baselines they are
+compared against.  Both run through the same forward pass, training
+loop and model format.
 """
 
 from __future__ import annotations
@@ -14,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activation import P_MAX, P_MIN, evaluate_many
+from .activation import ACTIVATION_KINDS, P_MAX, P_MIN, evaluate_many, fixed_eval, softmax
 
 __all__ = [
     "HEADS",
     "PNetwork",
     "ForwardTrace",
     "init_network",
+    "nguyen_widrow_init",
     "forward",
     "forward_batch",
     "predict",
@@ -34,10 +42,17 @@ HEADS = ("regression", "classification")
 
 @dataclass
 class PNetwork:
-    """Layer sizes, weights (bias = column 0), per-neuron p, and head kind."""
+    """Layer sizes, weights (bias = column 0), per-layer activation kinds,
+    per-neuron p, and head kind.
+
+    ``p_values[k]`` is an array of one p per neuron exactly where
+    ``activations[k]`` is ``"implicit"``, and None elsewhere.  ``lam`` is
+    the regularization weight of the implicit layers.
+    """
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
+    activations: list[str]
     p_values: list[np.ndarray | None]
     lam: float
     head: str
@@ -51,22 +66,27 @@ class PNetwork:
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         m = len(sizes) - 1
-        if len(self.weights) != m or len(self.p_values) != m:
-            raise ValueError("need one weight matrix and one p vector per layer")
+        if not len(self.weights) == len(self.activations) == len(self.p_values) == m:
+            raise ValueError("need one weight matrix, activation kind and p entry per layer")
         for k in range(m):
             want = (sizes[k + 1], sizes[k] + 1)
             if self.weights[k].shape != want:
                 raise ValueError(f"layer {k + 1}: weight shape {self.weights[k].shape}, expected {want}")
+            kind = self.activations[k]
+            if kind not in ACTIVATION_KINDS:
+                raise ValueError(f"layer {k + 1}: unknown activation {kind!r}")
+            if kind == "softmax" and k != m - 1:
+                raise ValueError("softmax is only valid on the output layer")
             pk = self.p_values[k]
-            is_last = k == m - 1
-            if self.head == "classification" and is_last:
+            if kind != "implicit":
                 if pk is not None:
-                    raise ValueError("softmax output layer must not carry p values")
-            else:
-                if pk is None or pk.shape != (sizes[k + 1],):
-                    raise ValueError(f"layer {k + 1}: p vector missing or misshaped")
-                if np.any(pk < P_MIN) or np.any(pk > P_MAX):
-                    raise ValueError(f"layer {k + 1}: p outside [{P_MIN}, {P_MAX}]")
+                    raise ValueError(f"layer {k + 1}: a {kind} layer must not carry p values")
+            elif pk is None or pk.shape != (sizes[k + 1],):
+                raise ValueError(f"layer {k + 1}: p vector missing or misshaped")
+            elif np.any(pk < P_MIN) or np.any(pk > P_MAX):
+                raise ValueError(f"layer {k + 1}: p outside [{P_MIN}, {P_MAX}]")
+        if self.head == "classification" and self.activations[-1] != "softmax":
+            raise ValueError("a classification head needs a softmax output layer")
 
     @property
     def n_layers(self) -> int:
@@ -76,6 +96,7 @@ class PNetwork:
         return PNetwork(
             layer_sizes=list(self.layer_sizes),
             weights=[W.copy() for W in self.weights],
+            activations=list(self.activations),
             p_values=[None if p is None else p.copy() for p in self.p_values],
             lam=self.lam,
             head=self.head,
@@ -115,24 +136,64 @@ def init_network(
     m = len(sizes) - 1
     rng = np.random.default_rng(seed)
     weights = [rng.standard_normal((sizes[k + 1], sizes[k] + 1)) for k in range(m)]
+    kinds = ["implicit"] * m
     p_values: list[np.ndarray | None] = [np.full(sizes[k + 1], float(initial_p)) for k in range(m)]
     if head == "classification":
+        kinds[-1] = "softmax"
         p_values[-1] = None
     elif initial_p_output is not None:
         p_values[-1] = np.full(sizes[-1], float(initial_p_output))
-    net = PNetwork(layer_sizes=sizes, weights=weights, p_values=p_values, lam=float(lam), head=head)
+    net = PNetwork(
+        layer_sizes=sizes, weights=weights, activations=kinds, p_values=p_values, lam=float(lam), head=head
+    )
     net.validate()
     return net
 
 
-def softmax(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting the row max."""
-    z = np.exp(a - np.max(a, axis=-1, keepdims=True))
-    return z / np.sum(z, axis=-1, keepdims=True)
+def nguyen_widrow_init(
+    layer_sizes,
+    head: str,
+    seed: int,
+    hidden_kind: str | None = None,
+    output_kind: str | None = None,
+) -> PNetwork:
+    """A fixed-activation baseline net with Nguyen-Widrow initialization.
+
+    Per layer with fan-in n and h neurons, weight rows drawn uniform in
+    [-1, 1] are rescaled to magnitude beta = 0.7 * h**(1/n), and biases
+    are spread uniformly over [-beta, beta] with alternating sign (a
+    single neuron gets bias 0).  The kinds default to satlins/purelin on
+    a regression head and tansig/softmax on a classification head.
+    """
+    sizes = [int(r) for r in layer_sizes]
+    m = len(sizes) - 1
+    if hidden_kind is None:
+        hidden_kind = "satlins" if head == "regression" else "tansig"
+    if output_kind is None:
+        output_kind = "purelin" if head == "regression" else "softmax"
+    kinds = [hidden_kind] * (m - 1) + [output_kind]
+    rng = np.random.default_rng(seed)
+    weights = []
+    for k in range(m):
+        n, h = sizes[k], sizes[k + 1]
+        beta = 0.7 * h ** (1.0 / n)
+        W = rng.uniform(-1.0, 1.0, size=(h, n))
+        W *= beta / np.linalg.norm(W, axis=1, keepdims=True)
+        if h == 1:
+            b = np.zeros(1)
+        else:
+            b = beta * np.linspace(-1.0, 1.0, h) * (-1.0) ** np.arange(h)
+        weights.append(np.concatenate([b[:, None], W], axis=1))
+    net = PNetwork(layer_sizes=sizes, weights=weights, activations=kinds, p_values=[None] * m, lam=0.0, head=head)
+    net.validate()
+    return net
 
 
 def forward_batch(net: PNetwork, X: np.ndarray, inner_iters: int = 100) -> ForwardTrace:
-    """Evaluate the network on an N x r0 batch, caching the full trace."""
+    """Evaluate the network on an N x r0 batch, caching the full trace.
+
+    ``inner_iters`` is the Newton step budget of the implicit layers.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input batch must be N x {net.layer_sizes[0]}, got {X.shape}")
@@ -140,15 +201,14 @@ def forward_batch(net: PNetwork, X: np.ndarray, inner_iters: int = 100) -> Forwa
         raise ValueError("input batch must be finite")
     trace = ForwardTrace(outputs=[X])
     V = X
-    m = net.n_layers
-    for k in range(m):
+    for k, kind in enumerate(net.activations):
         W = net.weights[k]
         A = V @ W[:, 1:].T + W[:, 0]
         trace.activations.append(A)
-        if net.head == "classification" and k == m - 1:
-            V = softmax(A)
-        else:
+        if kind == "implicit":
             V = evaluate_many(A, net.p_values[k][None, :], net.lam, inner_iters)
+        else:
+            V = fixed_eval(kind, A)
         trace.outputs.append(V)
     return trace
 
@@ -172,20 +232,22 @@ def predict(net: PNetwork, x, inner_iters: int = 100) -> np.ndarray:
 # --- serialization -------------------------------------------------------
 #
 # Versioned plain-text format, one value stream per line, floats printed
-# with 17 significant digits so a save/load round-trip is bit-exact:
+# with 17 significant digits so a save/load round-trip is bit-exact.  A net
+# with implicit layers is written as
 #
 #   pnetwork 1
 #   head regression
 #   lambda 1
 #   layer_sizes 1 5 3 1
 #   layer 1
-#   p <r_1 values>            (or "p softmax" on a classification output)
+#   p <r_1 values>            (or "p <kind>" on a layer of a fixed kind,
+#                              e.g. "p softmax" on a classification output)
 #   w <r_0 + 1 values>        (r_1 rows, bias first)
 #   ...
 #   end
 #
-# Baseline networks use the same layout with tag "baseline" and an
-# "activation <kind>" line in place of "p" (see the baseline module).
+# and a net of fixed kinds only uses the same layout with tag "baseline",
+# no "lambda" line, and an "activation <kind>" line in place of "p".
 
 
 def fmt_float(x: float) -> str:
@@ -228,17 +290,21 @@ class _LineReader:
 
 
 def save_network(net: PNetwork, path: str) -> None:
+    """Write a net as ``pnetwork 1`` if it has implicit layers, else ``baseline 1``."""
     net.validate()
-    lines = [
-        "pnetwork 1",
-        f"head {net.head}",
-        f"lambda {fmt_float(net.lam)}",
-        "layer_sizes " + " ".join(str(r) for r in net.layer_sizes),
-    ]
-    for k in range(net.n_layers):
+    implicit = "implicit" in net.activations
+    lines = ["pnetwork 1" if implicit else "baseline 1", f"head {net.head}"]
+    if implicit:
+        lines.append(f"lambda {fmt_float(net.lam)}")
+    lines.append("layer_sizes " + " ".join(str(r) for r in net.layer_sizes))
+    for k, kind in enumerate(net.activations):
         lines.append(f"layer {k + 1}")
-        pk = net.p_values[k]
-        lines.append("p softmax" if pk is None else "p " + _fmt_row(pk))
+        if not implicit:
+            lines.append(f"activation {kind}")
+        elif kind == "implicit":
+            lines.append("p " + _fmt_row(net.p_values[k]))
+        else:
+            lines.append(f"p {kind}")
         for row in net.weights[k]:
             lines.append("w " + _fmt_row(row))
     lines.append("end")
@@ -246,35 +312,31 @@ def save_network(net: PNetwork, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_pnetwork(r: _LineReader) -> PNetwork:
+def load_network(path: str) -> PNetwork:
+    """Load a model saved in either the ``pnetwork 1`` or ``baseline 1`` format."""
+    r = _LineReader(path)
+    tag = r.next()[0]
+    if tag not in ("pnetwork", "baseline"):
+        raise ModelFormatError(f"{path}: unknown model tag {tag!r}")
+    implicit = tag == "pnetwork"
     head = r.next("head")[1]
-    lam = float(r.next("lambda")[1])
+    lam = float(r.next("lambda")[1]) if implicit else 0.0
     sizes = [int(v) for v in r.next("layer_sizes")[1:]]
-    weights = []
+    weights, kinds = [], []
     p_values: list[np.ndarray | None] = []
     for k in range(len(sizes) - 1):
         r.next("layer")
-        pf = r.next("p")
-        if pf[1:] == ["softmax"]:
-            p_values.append(None)
+        if implicit:
+            pf = r.next("p")[1:]
+            kind = pf[0] if len(pf) == 1 and pf[0] in ACTIVATION_KINDS else "implicit"
+            p_values.append(r.floats(pf, sizes[k + 1], "p") if kind == "implicit" else None)
         else:
-            p_values.append(r.floats(pf[1:], sizes[k + 1], "p"))
+            kind = r.next("activation")[1]
+            p_values.append(None)
+        kinds.append(kind)
         rows = [r.floats(r.next("w")[1:], sizes[k] + 1, "weights") for _ in range(sizes[k + 1])]
         weights.append(np.array(rows))
     r.next("end")
-    net = PNetwork(layer_sizes=sizes, weights=weights, p_values=p_values, lam=lam, head=head)
+    net = PNetwork(layer_sizes=sizes, weights=weights, activations=kinds, p_values=p_values, lam=lam, head=head)
     net.validate()
     return net
-
-
-def load_network(path: str):
-    """Load a saved model; returns a `PNetwork` or a baseline network."""
-    r = _LineReader(path)
-    tag = r.next()
-    if tag[0] == "pnetwork":
-        return _load_pnetwork(r)
-    if tag[0] == "baseline":
-        from .baseline import _load_baseline
-
-        return _load_baseline(r)
-    raise ModelFormatError(f"{path}: unknown model tag {tag[0]!r}")

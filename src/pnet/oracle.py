@@ -197,21 +197,14 @@ def _loss_and_grads(net, X, Y, inner_iters):
     loss(theta) = mean_d sum_j c_dj * a_dj(theta).  The gradient of that
     frozen-delta loss is exactly what the production backprop computes.
     """
-    from . import baseline as bl
     from . import network as nw
     from . import training as tr
 
-    is_pnet = isinstance(net, nw.PNetwork)
-    if is_pnet:
-        trace = nw.forward_batch(net, X, inner_iters)
-        wg, pg = tr.backprop_batch(net, trace, Y)
-    else:
-        trace = bl.forward_batch_fixed(net, X)
-        wg = bl.backprop_batch_fixed(net, trace, Y)
-        pg = None
+    trace = nw.forward_batch(net, X, inner_iters)
+    wg, pg = tr.backprop_batch(net, trace, Y)
 
     def fresh_trace(mod):
-        return nw.forward_batch(mod, X, inner_iters) if is_pnet else bl.forward_batch_fixed(mod, X)
+        return nw.forward_batch(mod, X, inner_iters)
 
     if net.head == "classification":
         yhat = trace.outputs[-1]
@@ -223,9 +216,7 @@ def _loss_and_grads(net, X, Y, inner_iters):
     else:
 
         def loss(mod) -> float:
-            from .training import mse
-
-            return float(mse(fresh_trace(mod).outputs[-1], Y))
+            return float(tr.mse(fresh_trace(mod).outputs[-1], Y))
 
     return wg, pg, loss
 
@@ -268,7 +259,7 @@ def check_network_gradients(
             worst_w = max(worst_w, rel_err(grad[idx], fd_at(W, idx, W[idx])))
 
     worst_p = None
-    if pg is not None:
+    if any(grad is not None for grad in pg):
         vals = [0.0]
         for k, grad in enumerate(pg):
             if grad is None:

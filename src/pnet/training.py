@@ -1,10 +1,11 @@
-"""Gradient computation and batch training for p-networks.
+"""Gradient computation and training for p-networks and fixed-activation nets.
 
-Backpropagation treats each neuron's shape exponent p as a trainable
-parameter alongside the weights: sensitivities flow back through dv/da,
-and each p collects dv/dp weighted by the same back-propagated sum.  On a
-classification net the softmax output layer contributes the elementwise
-delta (yhat - y) * yhat * (1 - yhat) and carries no p gradient.
+Backpropagation treats each implicit neuron's shape exponent p as a
+trainable parameter alongside the weights: sensitivities flow back through
+dv/da, and each p collects dv/dp weighted by the same back-propagated sum.
+A layer of a fixed kind passes sensitivities back through its elementwise
+derivative and has no p.  A softmax output layer contributes the
+elementwise delta (yhat - y) * yhat * (1 - yhat).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .activation import (
     derivative_terms,
     dv_da_many,
     dv_dp_many,
+    fixed_deriv,
 )
 from .data import Dataset
 from .network import ForwardTrace, PNetwork, forward_batch
@@ -49,10 +51,9 @@ class TrainConfig:
     ``update`` selects how the gradient step is applied: ``"batch"``
     averages gradients over the whole training set before each update,
     ``"incremental"`` applies one update per training pair, cycling
-    through the set in order once per iteration.  ``seed`` is carried
-    alongside the step sizes so a saved config fully reproduces a run;
-    the descent itself draws no randomness (initialization and data
-    generation consume it upstream).
+    through the set in order once per iteration.  ``max_gradient`` stops
+    batch training before an update whose largest weight-gradient
+    magnitude is below it; the default 0 never stops.
     """
 
     alpha_w: float
@@ -60,8 +61,8 @@ class TrainConfig:
     max_iters: int
     max_error: float
     inner_iters: int = 100
-    seed: int = 0
     update: str = "batch"
+    max_gradient: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha_w) and self.alpha_w > 0):
@@ -74,15 +75,17 @@ class TrainConfig:
             raise ValueError(f"max_error must be finite and > 0, got {self.max_error}")
         if self.inner_iters < 1:
             raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.update not in UPDATE_MODES:
             raise ValueError(f"update must be one of {UPDATE_MODES}, got {self.update!r}")
+        if not (np.isfinite(self.max_gradient) and self.max_gradient >= 0):
+            raise ValueError(f"max_gradient must be finite and >= 0, got {self.max_gradient}")
+        if self.max_gradient > 0 and self.update != "batch":
+            raise ValueError("max_gradient applies to batch updates only")
 
 
 @dataclass
 class TrainLog:
-    """Per-iteration training error and (for p-networks) p snapshots.
+    """Per-iteration training error and (for nets with implicit layers) p snapshots.
 
     ``errors[t]`` is the batch error measured after the t-th update.
     ``p_history`` has one row per iteration and one column per p value,
@@ -128,36 +131,31 @@ def backprop_batch(
     if Y.shape != yhat.shape:
         raise ValueError(f"targets {Y.shape} do not match outputs {yhat.shape}")
     n = Y.shape[0]
-    err = yhat - Y
 
     weight_grads: list[np.ndarray] = [None] * m  # type: ignore[list-item]
     p_grads: list[np.ndarray | None] = [None] * m
 
-    if net.head == "classification":
-        delta = err * yhat * (1.0 - yhat)
-    else:
-        p_out = net.p_values[-1][None, :]
-        power = None
-        if compute_p:
-            power, log_v = derivative_terms(yhat, p_out, net.lam)
-            p_grads[-1] = np.mean(err * dv_dp_many(yhat, p_out, net.lam, power, log_v), axis=0)
-        delta = err * dv_da_many(yhat, p_out, net.lam, power)
-
+    S = yhat - Y  # dE/dv of the layer being processed, per sample
     for k in range(m - 1, -1, -1):
-        V_prev = trace.outputs[k]
+        kind = net.activations[k]
+        if kind == "softmax":
+            delta = S * yhat * (1.0 - yhat)
+        elif kind == "implicit":
+            V = trace.outputs[k + 1]
+            pk = net.p_values[k][None, :]
+            power = None
+            if compute_p:
+                power, log_v = derivative_terms(V, pk, net.lam)
+                p_grads[k] = np.mean(dv_dp_many(V, pk, net.lam, power, log_v) * S, axis=0)
+            delta = dv_da_many(V, pk, net.lam, power) * S
+        else:
+            delta = fixed_deriv(kind, trace.activations[k]) * S
         weight_grads[k] = np.concatenate(
-            [np.sum(delta, axis=0)[:, None], delta.T @ V_prev], axis=1
+            [np.sum(delta, axis=0)[:, None], delta.T @ trace.outputs[k]], axis=1
         ) / n
         if k == 0:
             break
         S = delta @ net.weights[k][:, 1:]
-        V = trace.outputs[k]
-        pk = net.p_values[k - 1][None, :]
-        power = None
-        if compute_p:
-            power, log_v = derivative_terms(V, pk, net.lam)
-            p_grads[k - 1] = np.mean(dv_dp_many(V, pk, net.lam, power, log_v) * S, axis=0)
-        delta = dv_da_many(V, pk, net.lam, power) * S
 
     return weight_grads, p_grads
 
@@ -186,25 +184,33 @@ def _p_snapshot(net: PNetwork) -> np.ndarray:
     return np.concatenate([pk for pk in net.p_values if pk is not None])
 
 
-def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> None:
-    """One full-batch update: mean gradients at the current parameters."""
+def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> bool:
+    """One full-batch update: mean gradients at the current parameters.
+
+    Returns True, without updating, when the largest weight-gradient
+    magnitude is below ``cfg.max_gradient``.
+    """
     trace = state.get("trace")
     if trace is None:
         trace = forward_batch(net, X, cfg.inner_iters)
     wg, pg = backprop_batch(net, trace, Y, compute_p=adapt_p)
+    if cfg.max_gradient > 0 and max(np.max(np.abs(g)) for g in wg) < cfg.max_gradient:
+        return True
     for k in range(net.n_layers):
         net.weights[k] -= cfg.alpha_w * wg[k]
         if adapt_p and pg[k] is not None:
             pk = net.p_values[k]
             pk -= cfg.alpha_p * pg[k]
             np.clip(pk, P_MIN, P_MAX, out=pk)
+    return False
 
 
-def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> None:
+def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> bool:
     """One cycle of per-pair updates, in dataset order.
 
-    Each pair's gradients are all taken at the parameters it found
-    (backward sweep completes before any update), then applied at once.
+    Every layer is implicit except possibly a softmax output.  Each
+    pair's gradients are all taken at the parameters it found (backward
+    sweep completes before any update), then applied at once.
     Arithmetic runs in scalar form — on layers of a few neurons that is
     roughly an order of magnitude faster than array calls — and each
     pair's activation solves warm-start from that pair's solutions on
@@ -215,7 +221,7 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
     lam = net.lam
     aw, ap = cfg.alpha_w, cfg.alpha_p
     inner = cfg.inner_iters
-    classification = net.head == "classification"
+    classification = net.activations[-1] == "softmax"
     warm = state.get("warm")
     if warm is None:
         warm = [np.full((n, net.layer_sizes[k + 1]), np.nan) for k in range(m)]
@@ -279,6 +285,7 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
                 pk = net.p_values[k]
                 pk -= ap * pgs[k]
                 np.clip(pk, P_MIN, P_MAX, out=pk)
+    return False
 
 
 _UPDATE_PASSES = {"batch": _apply_batch_pass, "incremental": _apply_incremental_pass}
@@ -291,12 +298,17 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     a mean-gradient step for ``update="batch"``, a cycle of per-pair
     steps for ``update="incremental"`` — with every p clipped to its
     valid range, then measures the whole-set error at the new
-    parameters.  Stops after ``max_iters`` iterations or as soon as the
-    measured error drops below ``max_error``; raises
-    `TrainingDivergedError` if a weight or the error becomes non-finite.
+    parameters.  Stops after ``max_iters`` iterations, as soon as the
+    measured error drops below ``max_error``, or (batch only) before an
+    update whose weight gradients are all below ``max_gradient``;
+    raises `TrainingDivergedError` if a weight or the error becomes
+    non-finite.  Incremental updates need every layer implicit except a
+    softmax output.
     """
     if (data.task == "classification") != (net.head == "classification"):
         raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
+    if cfg.update == "incremental" and not set(net.activations) <= {"implicit", "softmax"}:
+        raise ValueError(f"incremental updates need implicit layers, got {net.activations}")
     net = net.copy()
     X, Y = data.inputs, data.targets
     adapt_p = cfg.alpha_p > 0 and any(pk is not None for pk in net.p_values)
@@ -308,7 +320,8 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     p_rows: list[np.ndarray] = []
     state: dict = {}
     for it in range(cfg.max_iters):
-        update_pass(net, X, Y, cfg, adapt_p, state)
+        if update_pass(net, X, Y, cfg, adapt_p, state):
+            break
         if not all(np.all(np.isfinite(W)) for W in net.weights):
             raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
         trace = forward_batch(net, X, cfg.inner_iters)
@@ -330,21 +343,14 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     return net, log
 
 
-def classification_error(net, data: Dataset, inner_iters: int = 100) -> float:
+def classification_error(net: PNetwork, data: Dataset, inner_iters: int = 100) -> float:
     """Fraction of samples whose argmax output misses the argmax target.
 
-    Ties resolve to the lowest index on both sides.  Works for any
-    network exposing batch forward evaluation via `predict`-compatible
-    outputs (p-networks and baselines alike).
+    Ties resolve to the lowest index on both sides.
     """
-    from .baseline import BaselineNetwork, forward_batch_fixed
-
     if data.task != "classification":
         raise ValueError("classification_error needs a classification dataset")
-    if isinstance(net, BaselineNetwork):
-        yhat = forward_batch_fixed(net, data.inputs).outputs[-1]
-    else:
-        yhat = forward_batch(net, data.inputs, inner_iters).outputs[-1]
+    yhat = forward_batch(net, data.inputs, inner_iters).outputs[-1]
     pred = np.argmax(yhat, axis=1)
     truth = np.argmax(data.targets, axis=1)
     return float(np.mean(pred != truth))

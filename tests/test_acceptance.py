@@ -9,6 +9,7 @@ runtime (several minutes, single core).
 import time
 
 import numpy as np
+import pytest
 from numpy.testing import assert_array_equal
 
 from pnet.activation import (
@@ -19,7 +20,6 @@ from pnet.activation import (
     evaluate_many,
     threshold_input,
 )
-from pnet.baseline import nguyen_widrow_init
 from pnet.cli import EXPERIMENTS, _make_datasets, _train_variant
 from pnet.data import (
     Dataset,
@@ -29,7 +29,7 @@ from pnet.data import (
     gen_square,
     split_train_test,
 )
-from pnet.network import forward_batch, init_network, softmax
+from pnet.network import forward_batch, init_network, nguyen_widrow_init, softmax
 from pnet.oracle import bisect_root, check_network_gradients, random_check_case
 from pnet.training import TrainConfig, classification_error, mse, train
 
@@ -154,14 +154,17 @@ def _regression_trend(name: str) -> None:
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_parabola_trend():
     _regression_trend("ex2a")
 
 
+@pytest.mark.slow
 def test_criterion_07_absolute_value_trend():
     _regression_trend("ex2b")
 
 
+@pytest.mark.slow
 def test_criterion_08_sign_fit_quality():
     cfg = EXPERIMENTS["ex1"]
     datasets = _make_datasets(cfg, [1, 2, 3, 4, 5])
@@ -184,6 +187,7 @@ def test_criterion_08_sign_fit_quality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_classification_trend():
     cfg = EXPERIMENTS["ex3"]
     seeds = [1, 2, 3, 4, 5]

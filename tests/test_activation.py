@@ -416,6 +416,52 @@ class TestNewtonKernel:
                 assert abs(got - cold) <= 1e-12 * max(1.0, abs(a[0]))
 
 
+class TestExactRoots:
+    """`evaluate_many` against exact roots that use neither the kernel nor
+    bisection.  For ``a > 0`` the root solves ``v + lam*p*v**(p-1) = a``;
+    each form below avoids cancellation, so it is accurate to a few ulps
+    over the whole grid, and the map is odd."""
+
+    MAGNITUDES = TestNewtonKernel.MAGNITUDES
+    GRID_LAM = TestNewtonKernel.GRID_LAM
+
+    @staticmethod
+    def root_p15(x, lam):
+        # p = 3/2: s = sqrt(v) solves s**2 + c*s - x = 0 with c = 1.5*lam.
+        c = 1.5 * lam
+        s = 2.0 * x / (c + np.sqrt(c * c + 4.0 * x))
+        return s * s
+
+    @staticmethod
+    def root_p3(x, lam):
+        # p = 3: the quadratic 3*lam*v**2 + v - x = 0.
+        return 2.0 * x / (1.0 + np.sqrt(1.0 + 12.0 * lam * x))
+
+    @staticmethod
+    def root_p4(x, lam):
+        # p = 4: the depressed cubic v**3 + v/(4*lam) - x/(4*lam) = 0, whose
+        # one real root is sinh(asinh(3*r*x)/3)/r with r = sqrt(3*lam).
+        r = np.sqrt(3.0 * lam)
+        return np.sinh(np.arcsinh(3.0 * r * x) / 3.0) / r
+
+    @pytest.mark.parametrize("p, root", [(1.5, "root_p15"), (3.0, "root_p3"), (4.0, "root_p4")])
+    def test_matches_exact_root(self, p, root):
+        a = np.concatenate([self.MAGNITUDES, -self.MAGNITUDES])
+        for lam in self.GRID_LAM:
+            exact = getattr(self, root)(self.MAGNITUDES, lam)
+            exact = np.concatenate([exact, -exact])
+            v = evaluate_many(a, np.full(a.size, p), lam, inner_iters=10)
+            assert_allclose(v, exact, rtol=1e-12, atol=0, err_msg=f"p={p}, lam={lam}")
+
+    def test_exact_roots_solve_the_residual(self):
+        # The closed forms themselves, checked against the equation.
+        x = self.MAGNITUDES
+        for lam in self.GRID_LAM:
+            for p, root in ((1.5, self.root_p15), (3.0, self.root_p3), (4.0, self.root_p4)):
+                v = root(x, lam)
+                assert_allclose(v + lam * p * v ** (p - 1.0), x, rtol=1e-13, atol=0)
+
+
 class TestGatheredWorkingSet:
     # An ex2a-shaped layer: six p = 100 columns whose lanes (|a| <= 0.5,
     # lam = 0.1) all freeze after one step, next to a p = 1.01 column whose

@@ -1,25 +1,16 @@
-"""Tests for the fixed-activation baseline network."""
+"""Tests for fixed-activation (baseline) networks: Nguyen-Widrow nets whose
+layers carry fixed activation kinds and run through the shared forward
+pass, backprop, training loop and model format."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pnet.activation import evaluate_many
-from pnet.baseline import (
-    ACTIVATION_KINDS,
-    BaselineNetwork,
-    backprop_batch_fixed,
-    fixed_deriv,
-    fixed_eval,
-    forward_batch_fixed,
-    nguyen_widrow_init,
-    save_baseline,
-    train_fixed,
-)
+from pnet.activation import ACTIVATION_KINDS, evaluate_many, fixed_deriv, fixed_eval
 from pnet.data import Dataset
-from pnet.network import load_network
+from pnet.network import PNetwork, forward_batch, load_network, nguyen_widrow_init, save_network
 from pnet.oracle import rel_err
-from pnet.training import TrainConfig, TrainingDivergedError, classification_error, mse
+from pnet.training import TrainConfig, TrainingDivergedError, backprop_batch, classification_error, mse, train
 
 N_CASES = 200
 
@@ -52,6 +43,8 @@ class TestFixedEval:
             fixed_eval("relu", np.zeros(3))
         with pytest.raises(ValueError):
             fixed_deriv("softmax", np.zeros(3))
+        with pytest.raises(ValueError):
+            fixed_eval("implicit", np.zeros(3))
 
 
 class TestFixedDeriv:
@@ -103,6 +96,11 @@ class TestNguyenWidrow:
         cls = nguyen_widrow_init([2, 4, 3], "classification", seed=3)
         assert cls.activations == ["tansig", "softmax"]
 
+    def test_is_a_pnetwork_without_p(self):
+        net = nguyen_widrow_init([2, 4, 3, 1], "regression", seed=3)
+        assert isinstance(net, PNetwork)
+        assert net.p_values == [None, None, None]
+
     def test_explicit_kinds_and_determinism(self):
         a = nguyen_widrow_init([2, 4, 1], "regression", seed=4, hidden_kind="tansig", output_kind="purelin")
         b = nguyen_widrow_init([2, 4, 1], "regression", seed=4, hidden_kind="tansig", output_kind="purelin")
@@ -131,7 +129,13 @@ class TestValidate:
             net.validate()
 
     def test_activation_kinds_constant(self):
-        assert ACTIVATION_KINDS == ("satlins", "tansig", "purelin", "softmax")
+        assert ACTIVATION_KINDS == ("implicit", "satlins", "tansig", "purelin", "softmax")
+
+    def test_fixed_layer_with_p_rejected(self):
+        net = nguyen_widrow_init([2, 3, 1], "regression", seed=7)
+        net.p_values[0] = np.full(3, 2.0)
+        with pytest.raises(ValueError):
+            net.validate()
 
 
 class TestForwardFixed:
@@ -139,7 +143,7 @@ class TestForwardFixed:
         net = nguyen_widrow_init([2, 3, 1], "regression", seed=8)
         rng = np.random.default_rng(55)
         X = rng.standard_normal((6, 2))
-        trace = forward_batch_fixed(net, X)
+        trace = forward_batch(net, X)
         V = X
         for k in range(net.n_layers):
             W = net.weights[k]
@@ -151,7 +155,14 @@ class TestForwardFixed:
     def test_input_validation(self):
         net = nguyen_widrow_init([2, 3, 1], "regression", seed=9)
         with pytest.raises(ValueError):
-            forward_batch_fixed(net, np.zeros((4, 3)))
+            forward_batch(net, np.zeros((4, 3)))
+
+    def test_non_finite_input_rejected(self):
+        net = nguyen_widrow_init([2, 3, 1], "regression", seed=9)
+        X = np.zeros((4, 2))
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            forward_batch(net, X)
 
 
 class TestBackpropFixed:
@@ -161,10 +172,11 @@ class TestBackpropFixed:
         rng = np.random.default_rng(56)
         X = rng.standard_normal((5, 2))
         Y = rng.standard_normal((5, 2))
-        grads = backprop_batch_fixed(net, forward_batch_fixed(net, X), Y)
+        grads, p_grads = backprop_batch(net, forward_batch(net, X), Y)
+        assert p_grads == [None, None]
 
         def loss() -> float:
-            return mse(forward_batch_fixed(net, X).outputs[-1], Y)
+            return mse(forward_batch(net, X).outputs[-1], Y)
 
         h = 1e-6
         worst = 0.0
@@ -190,7 +202,7 @@ class TestBackpropFixed:
         labels = rng.integers(0, 3, 4)
         Y = np.zeros((4, 3))
         Y[np.arange(4), labels] = 1.0
-        grads = backprop_batch_fixed(net, forward_batch_fixed(net, X), Y)
+        grads, _ = backprop_batch(net, forward_batch(net, X), Y)
         assert all(np.all(np.isfinite(g)) for g in grads)
         assert any(np.any(g != 0.0) for g in grads)
 
@@ -204,14 +216,14 @@ class TestTrainFixed:
     def test_decreases_error(self):
         net = nguyen_widrow_init([1, 6, 1], "regression", seed=12)
         data = self.toy(12)
-        e0 = mse(forward_batch_fixed(net, data.inputs).outputs[-1], data.targets)
-        _, log = train_fixed(net, data, TrainConfig(0.1, 0.0, 100, 1e-300))
+        e0 = mse(forward_batch(net, data.inputs).outputs[-1], data.targets)
+        _, log = train(net, data, TrainConfig(0.1, 0.0, 100, 1e-300))
         assert log.errors[-1] < e0
 
     def test_gradient_floor_stops_before_update(self):
         net = nguyen_widrow_init([1, 4, 1], "regression", seed=13)
         before = [W.copy() for W in net.weights]
-        trained, log = train_fixed(net, self.toy(13), TrainConfig(0.1, 0.0, 50, 1e-300), max_gradient=1e9)
+        trained, log = train(net, self.toy(13), TrainConfig(0.1, 0.0, 50, 1e-300, max_gradient=1e9))
         assert log.errors.size == 0
         for Wb, Wa in zip(before, trained.weights):
             assert_array_equal(Wb, Wa)
@@ -219,17 +231,22 @@ class TestTrainFixed:
     def test_divergence_raises(self):
         net = nguyen_widrow_init([1, 4, 1], "regression", seed=14)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
-            train_fixed(net, self.toy(14), TrainConfig(1e14, 0.0, 60, 1e-300))
+            train(net, self.toy(14), TrainConfig(1e14, 0.0, 60, 1e-300))
 
     def test_task_mismatch_rejected(self):
         net = nguyen_widrow_init([1, 4, 2], "classification", seed=15)
         with pytest.raises(ValueError):
-            train_fixed(net, self.toy(15), TrainConfig(0.1, 0.0, 5, 1e-3))
+            train(net, self.toy(15), TrainConfig(0.1, 0.0, 5, 1e-3))
 
     def test_bad_max_gradient_rejected(self):
         net = nguyen_widrow_init([1, 4, 1], "regression", seed=16)
         with pytest.raises(ValueError):
-            train_fixed(net, self.toy(16), TrainConfig(0.1, 0.0, 5, 1e-3), max_gradient=-1.0)
+            train(net, self.toy(16), TrainConfig(0.1, 0.0, 5, 1e-3, max_gradient=-1.0))
+
+    def test_incremental_rejected(self):
+        net = nguyen_widrow_init([1, 4, 1], "regression", seed=16)
+        with pytest.raises(ValueError, match="incremental"):
+            train(net, self.toy(16), TrainConfig(0.1, 0.0, 5, 1e-3, update="incremental"))
 
     def test_classification_training_runs(self):
         rng = np.random.default_rng(58)
@@ -238,7 +255,8 @@ class TestTrainFixed:
         Y[np.arange(40), (X[:, 0] > 0).astype(int)] = 1.0
         data = Dataset(X, Y, "classification")
         net = nguyen_widrow_init([2, 6, 2], "classification", seed=17)
-        trained, log = train_fixed(net, data, TrainConfig(0.5, 0.0, 200, 1e-300))
+        trained, log = train(net, data, TrainConfig(0.5, 0.0, 200, 1e-300))
+        assert log.p_history is None
         assert classification_error(trained, data) <= classification_error(net, data)
 
 
@@ -259,11 +277,14 @@ class TestBaselineSerialization:
     def test_round_trip_exact(self, tmp_path):
         net = nguyen_widrow_init([2, 5, 3], "classification", seed=18)
         path = str(tmp_path / "baseline.txt")
-        save_baseline(net, path)
+        save_network(net, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline() == "baseline 1\n"
         back = load_network(path)
-        assert isinstance(back, BaselineNetwork)
+        assert isinstance(back, PNetwork)
         assert back.layer_sizes == net.layer_sizes
         assert back.activations == net.activations
+        assert back.p_values == [None, None]
         assert back.head == net.head
         for Wa, Wb in zip(net.weights, back.weights):
             assert_array_equal(Wa, Wb)
@@ -271,10 +292,24 @@ class TestBaselineSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
         net = nguyen_widrow_init([2, 4, 1], "regression", seed=19)
         path = str(tmp_path / "baseline.txt")
-        save_baseline(net, path)
+        save_network(net, path)
         back = load_network(path)
         X = np.random.default_rng(59).standard_normal((5, 2))
-        assert_array_equal(
-            forward_batch_fixed(net, X).outputs[-1],
-            forward_batch_fixed(back, X).outputs[-1],
-        )
+        assert_array_equal(forward_batch(net, X).outputs[-1], forward_batch(back, X).outputs[-1])
+
+
+class TestBenchmarkAliases:
+    def test_train_fixed_takes_batch_steps_with_its_gradient_stop(self):
+        # `pnet.baseline.train_fixed` ignores the config's update mode, as
+        # the benchmark's ex3_baseline workload expects.
+        from pnet.baseline import train_fixed
+
+        net = nguyen_widrow_init([1, 4, 1], "regression", seed=20)
+        data = TestTrainFixed().toy(20)
+        cfg = TrainConfig(0.1, 0.0, 30, 1e-300, update="incremental")
+        got, got_log = train_fixed(net, data, cfg, max_gradient=0.05)
+        want, want_log = train(net, data, TrainConfig(0.1, 0.0, 30, 1e-300, max_gradient=0.05))
+        assert 0 < got_log.errors.size < 30
+        assert_array_equal(got_log.errors, want_log.errors)
+        for Wa, Wb in zip(got.weights, want.weights):
+            assert_array_equal(Wa, Wb)

@@ -1,4 +1,4 @@
-"""Tests for the implicit-activation network container and serialization."""
+"""Tests for the network container, forward evaluation and serialization."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from pnet.network import (
     forward_batch,
     init_network,
     load_network,
+    nguyen_widrow_init,
     predict,
     save_network,
     softmax,
@@ -227,3 +228,118 @@ class TestSerialization:
         bad.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_network(str(bad))
+
+
+# One v1 model file of each kind, with the predictions on V1_INPUTS, as
+# written by the code that had separate p-network and baseline classes.
+# ``make`` rebuilds the same net with today's constructors.
+V1_INPUTS = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
+V1_MODELS = {
+    "pnetwork_regression": dict(
+        make=lambda: init_network([2, 2, 1], "regression", lam=0.5, initial_p=3.0, seed=21, initial_p_output=1.5),
+        text="""pnetwork 1
+head regression
+lambda 0.5
+layer_sizes 2 2 1
+layer 1
+p 3 3
+w 0.35877340800391416 1.5106773081434572 -1.7863312373111822
+w 1.6866135086657521 -0.047317212156137566 -0.79997858437515323
+layer 2
+p 1.5
+w -0.80295671839036198 -1.0828165165825909 -0.22364535840745078
+end
+""",
+        outputs=[["-1.3428424769732155"], ["-1.2977530064893061"], ["0.15043978226535559"]],
+    ),
+    "pnetwork_classification": dict(
+        make=lambda: init_network([2, 2, 2], "classification", lam=1.0, initial_p=2.5, seed=22),
+        text="""pnetwork 1
+head classification
+lambda 1
+layer_sizes 2 2 2
+layer 1
+p 2.5 2.5
+w -1.3976184247040431 -1.204009490095536 -1.3022690060563118
+w -0.62268536704388844 1.4472801153936388 -1.6013138916154472
+layer 2
+p softmax
+w 0.94396946426691153 1.2624719157159621 -0.35546062571105153
+w -0.70093608667580731 0.47211462069079746 1.214557665204409
+end
+""",
+        outputs=[
+            ["0.6208984333269334", "0.37910156667306655"],
+            ["0.44185517940302071", "0.55814482059697923"],
+            ["0.94296117748150121", "0.057038822518498705"],
+        ],
+    ),
+    "baseline_regression": dict(
+        make=lambda: nguyen_widrow_init([2, 2, 1], "regression", seed=23),
+        text="""baseline 1
+head regression
+layer_sizes 2 2 1
+layer 1
+activation satlins
+w -0.98994949366116658 0.79979105650416638 0.58338174974535262
+w -0.98994949366116658 -0.68606698345284778 -0.71366104995012158
+layer 2
+activation purelin
+w 0 0.27860169436484117 0.6421690555430396
+end
+""",
+        outputs=[["-0.6763110767218079"], ["-0.4316915888676976"], ["-0.8412913035117161"]],
+    ),
+    "baseline_classification": dict(
+        make=lambda: nguyen_widrow_init([2, 2, 2], "classification", seed=24),
+        text="""baseline 1
+head classification
+layer_sizes 2 2 2
+layer 1
+activation tansig
+w -0.98994949366116658 -0.8642286759229717 -0.48281341707995978
+w -0.98994949366116658 0.98633996723156769 0.084459866455199317
+layer 2
+activation softmax
+w -0.98994949366116658 0.6708183909733817 0.72801283390602622
+w -0.98994949366116658 0.66410643395255076 -0.73414075243295596
+end
+""",
+        outputs=[
+            ["0.3163783397344011", "0.68362166026559901"],
+            ["0.75199035262686587", "0.24800964737313408"],
+            ["0.20528711641347841", "0.79471288358652159"],
+        ],
+    ),
+}
+
+
+class TestV1ModelFiles:
+    @pytest.mark.parametrize("name", sorted(V1_MODELS))
+    def test_loads_and_predicts_as_written(self, tmp_path, name):
+        case = V1_MODELS[name]
+        path = tmp_path / "model.txt"
+        path.write_text(case["text"], encoding="utf-8")
+        net = load_network(str(path))
+        want = np.array([[float(v) for v in row] for row in case["outputs"]])
+        assert_array_equal(predict(net, V1_INPUTS), want)
+
+    @pytest.mark.parametrize("name", sorted(V1_MODELS))
+    def test_save_is_byte_identical(self, tmp_path, name):
+        case = V1_MODELS[name]
+        path = tmp_path / "model.txt"
+        save_network(case["make"](), str(path))
+        assert path.read_bytes() == case["text"].encode("utf-8")
+
+    def test_mixed_kinds_round_trip(self, tmp_path):
+        # Implicit hidden layers under a fixed-kind output: the pnetwork
+        # format names the kind on that layer's "p" line.
+        net = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.5, seed=25)
+        net.activations[-1] = "purelin"
+        net.p_values[-1] = None
+        path = tmp_path / "model.txt"
+        save_network(net, str(path))
+        assert "p purelin\n" in path.read_text(encoding="utf-8")
+        back = load_network(str(path))
+        assert back.activations == ["implicit", "purelin"]
+        assert_array_equal(predict(back, V1_INPUTS), predict(net, V1_INPUTS))

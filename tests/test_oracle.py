@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pnet.data import Dataset
-from pnet.network import init_network
+from pnet.network import init_network, nguyen_widrow_init
 from pnet.oracle import (
     BracketError,
     BracketingInterval,
@@ -135,6 +135,25 @@ class TestNetworkGradientCheck:
         net = init_network([2, 3, 2], "classification", lam=1.0, initial_p=2.5, seed=1)
         X, Y = random_check_case([2, 3, 2], "classification", seed=1)
         report = check_network_gradients(net, Dataset(X, Y, "classification"))
+        assert report.weight_error <= 1e-3
+        assert report.p_error is not None and report.p_error <= 1e-3
+
+    def test_fixed_activation_gradients_pass_without_p(self):
+        net = nguyen_widrow_init([2, 3, 2], "classification", seed=1)
+        X, Y = random_check_case([2, 3, 2], "classification", seed=1)
+        report = check_network_gradients(net, Dataset(X, Y, "classification"))
+        assert report.weight_error <= 1e-3
+        assert report.p_error is None
+
+    def test_mixed_kind_gradients_pass(self):
+        # An implicit layer between a tansig layer and a purelin output:
+        # backprop picks each layer's rule from its kind.
+        net = init_network([2, 3, 3, 2], "regression", lam=1.0, initial_p=2.5, seed=2)
+        net.activations[0] = "tansig"
+        net.activations[-1] = "purelin"
+        net.p_values[0] = net.p_values[-1] = None
+        X, Y = random_check_case([2, 3, 3, 2], "regression", seed=2)
+        report = check_network_gradients(net, Dataset(X, Y, "regression"))
         assert report.weight_error <= 1e-3
         assert report.p_error is not None and report.p_error <= 1e-3
 

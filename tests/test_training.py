@@ -26,6 +26,7 @@ def single_neuron_net() -> PNetwork:
     return PNetwork(
         layer_sizes=[1, 1],
         weights=[np.array([[0.0, 1.0]])],
+        activations=["implicit"],
         p_values=[np.array([2.0])],
         lam=1.0,
         head="regression",
@@ -166,11 +167,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=0)
         with pytest.raises(ValueError):
-            TrainConfig(0.1, 0.0, 10, 1e-3, seed=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 0.0, 10, 1e-3, seed=1.5)
-        with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, update="online")
+        with pytest.raises(ValueError):
+            TrainConfig(0.1, 0.0, 10, 1e-3, max_gradient=np.inf)
+        with pytest.raises(ValueError):
+            TrainConfig(0.1, 0.0, 10, 1e-3, update="incremental", max_gradient=1e-4)
 
 
 class TestTrainBatch:
@@ -338,6 +339,7 @@ class TestClassificationError:
         return PNetwork(
             layer_sizes=[1, 2],
             weights=[np.array([[0.0, 5.0], [0.0, -5.0]])],
+            activations=["softmax"],
             p_values=[None],
             lam=1.0,
             head="classification",
