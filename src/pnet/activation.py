@@ -40,6 +40,16 @@ level.  Over ``p`` in [1.01, 1e4], ``|a|`` in [1e-8, 1e4] and ``lam`` in
 [1e-10, 10] every lane freezes within 5 steps and agrees with the exact
 root to `EXIT_TOL` relative.
 
+A warm start ``v0`` (a nearby earlier root, say) may lie on either side
+of the root; the lane starts at the smaller of ``|v0|`` (in ``y``) and
+the cold bound above.  Newton's first step from below the root lands
+above it, because the residual is convex and increasing; that step
+therefore cannot count as convergence, and its result is clamped to the
+cold bound.  From there the iteration is the cold one, so a warm lane
+takes at most one step more than a cold lane (6), and usually far fewer.
+The root is the same, but the path to it is not, so outputs depend on
+``v0`` at rounding level.
+
 Lanes converge at different rates, above all when each neuron has its
 own ``p``.  `evaluate_many` therefore steps the full array only while
 most lanes still move; once at most half of its working set does, it
@@ -229,10 +239,13 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
     depend on how inputs are batched.
 
     ``v0`` optionally provides a starting magnitude ``|v0|`` per lane,
-    clamped to the upper bound.  It is used only where it is an upper
-    bound as well (its residual is nonnegative), which keeps every
-    iteration monotone; elsewhere, and where it is non-finite, the lane
-    starts at the bound.  The root is unchanged, only the path to it.
+    clamped to the cold upper bound; a lane whose ``v0`` is NaN or
+    infinite starts at the bound.  The start may lie on either side of
+    the root: a lane whose first step moves up by more than its stop
+    tolerance keeps moving from no higher than the cold bound, and
+    every later step is monotone.  A warm lane takes at most 6 steps,
+    and the result depends on ``v0`` at rounding level.  Without
+    ``v0`` every lane starts at the cold bound.
     """
     a = _as_float_array(a)
     p = _as_float_array(p)
@@ -250,23 +263,32 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
         # A lane keeps moving while y > (1 + tol) * y_new.
         tol1 = 1.0 + np.sqrt(_EPS / np.maximum(nm1, _EPS))
 
-        # Start: (x/d) * exp(-max(log K, W~(n*K)) / n), an upper bound.
-        x = np.abs(np.broadcast_to(a, shape))
-        log_K = nm1 * np.log(np.maximum(x, _TINY)) + log_kd
-        L = np.maximum(log_K + np.log(n), 0.0)
-        M = np.maximum(log_K, L - np.log1p(L))
-        M *= -1.0 / n
-        y = np.exp(M)
+        # Start: (x/d) * exp(-max(log K, W~(n*K)) / n), an upper bound,
+        # formed in y with L in u; u and y_new are the step's scratch.
+        x = np.abs(np.broadcast_to(a, shape), order="C")
+        y = np.maximum(x, _TINY)
+        np.log(y, out=y)
+        y *= nm1
+        y += log_kd
+        u = y + np.log(n)
+        np.maximum(u, 0.0, out=u)
+        y_new = np.log1p(u)
+        np.subtract(u, y_new, out=u)
+        np.maximum(y, u, out=y)
+        y *= -1.0 / n
+        np.exp(y, out=y)
         y *= x
         y /= d
+        bound = None
         if v0 is not None:
-            # A warm start is used only where it is an upper bound as well.
+            # A warm start from either side, never above the cold bound
+            # (fmin also drops NaN).  The first step keeps `bound` to clamp
+            # lanes that started below the root.
             w = np.abs(np.broadcast_to(_as_float_array(v0), shape))
             if low.any():
                 w = np.where(low, w ** (p - 1.0), w)
             np.fmin(w, y, out=w)
-            above = w * (d + k * w**nm1) >= x
-            np.copyto(y, w, where=above)
+            y, bound = w, y
 
         # The working set starts as every lane of y, constants broadcast
         # from p.  Once at most half of it still moves it is gathered down
@@ -278,8 +300,6 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
         xs, ys = x, y
         consts = (nm1, k * nm1, k * n, d, tol1)
         active = np.ones(shape, dtype=bool)
-        u = np.empty(shape)
-        y_new = np.empty(shape)
         moving = np.empty(shape, dtype=bool)
         for _ in range(inner_iters):
             c_nm1, c_km1, c_kn, c_d, c_tol1 = consts
@@ -292,6 +312,15 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
             y_new /= u
             np.multiply(y_new, c_tol1, out=u)
             np.greater(ys, u, out=moving)
+            if bound is not None:
+                # First step of a warm start: a lane that started below the
+                # root steps up past it, keeps moving, and continues from
+                # no higher than the cold bound.
+                np.multiply(ys, c_tol1, out=u)
+                np.greater(y_new, u, out=u)
+                np.logical_or(moving, u, out=moving)
+                np.fmin(y_new, bound, out=y_new)
+                bound = None
             np.copyto(ys, y_new, where=active)
             active &= moving
             count = np.count_nonzero(active)
@@ -338,11 +367,18 @@ def evaluate(a, params: ActivationParams):
 def _solve_scalar(a, p, lam: float, inner_iters: int, v0=None) -> float:
     """Root of `residual` for a single (a, p) pair in plain Python floats.
 
-    Same variable, start, warm-start rule, step and stop rule as
-    `evaluate_many`, specialized to one element.  Per-sample training
-    loops call this directly: on layers of a few neurons the array
-    kernel's per-call overhead dwarfs the arithmetic, and a scalar loop
-    is an order of magnitude faster.  The two paths agree to rounding.
+    Same variable, cold start, step and stop rule as `evaluate_many`,
+    specialized to one element.  Per-sample training loops call this
+    directly: on layers of a few neurons the array kernel's per-call
+    overhead dwarfs the arithmetic, and a scalar loop is an order of
+    magnitude faster.  The two paths agree to rounding.
+
+    The warm-start rule differs: ``v0`` is used only where it is an
+    upper bound of the root (its residual is nonnegative), and a start
+    below the root is discarded for the cold bound.  Taking starts from
+    both sides would change the incremental trainer's per-pair results
+    at rounding level, which diverging ex2a nets amplify, so the rule
+    stays until the per-pair path runs on the array kernel.
     """
     a = float(a)
     p = float(p)

@@ -189,16 +189,28 @@ def nguyen_widrow_init(
     return net
 
 
-def forward_batch(net: PNetwork, X: np.ndarray, inner_iters: int = 100) -> ForwardTrace:
+def forward_batch(
+    net: PNetwork, X: np.ndarray, inner_iters: int = 100, start: ForwardTrace | None = None
+) -> ForwardTrace:
     """Evaluate the network on an N x r0 batch, caching the full trace.
 
     ``inner_iters`` is the Newton step budget of the implicit layers.
+    ``start`` optionally warm-starts them: a trace over the same rows
+    (typically of the same net a small parameter step ago) whose outputs
+    serve as each implicit layer's ``v0`` in `evaluate_many`.  Warm starts
+    may lie on either side of the root and take at most 6 steps per lane;
+    the outputs then depend on ``start`` at rounding level only.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input batch must be N x {net.layer_sizes[0]}, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input batch must be finite")
+    if start is not None:
+        shapes = [np.shape(V) for V in start.outputs[1:]]
+        want = [(X.shape[0], r) for r in net.layer_sizes[1:]]
+        if shapes != want:
+            raise ValueError(f"start trace has output shapes {shapes}, expected {want}")
     trace = ForwardTrace(outputs=[X])
     V = X
     for k, kind in enumerate(net.activations):
@@ -206,7 +218,8 @@ def forward_batch(net: PNetwork, X: np.ndarray, inner_iters: int = 100) -> Forwa
         A = V @ W[:, 1:].T + W[:, 0]
         trace.activations.append(A)
         if kind == "implicit":
-            V = evaluate_many(A, net.p_values[k][None, :], net.lam, inner_iters)
+            v0 = None if start is None else start.outputs[k + 1]
+            V = evaluate_many(A, net.p_values[k][None, :], net.lam, inner_iters, v0)
         else:
             V = fixed_eval(kind, A)
         trace.outputs.append(V)

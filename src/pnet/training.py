@@ -304,6 +304,14 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     raises `TrainingDivergedError` if a weight or the error becomes
     non-finite.  Incremental updates need every layer implicit except a
     softmax output.
+
+    With batch updates, each error measurement warm-starts its activation
+    solves from the previous measurement's outputs (`forward_batch`'s
+    ``start``), which lie on either side of the new roots; a warm lane
+    takes at most 6 Newton steps, and the results depend on the start at
+    rounding level only.  Incremental passes move the parameters after
+    every pair, so they discard that trace and the measurement starts
+    cold.
     """
     if (data.task == "classification") != (net.head == "classification"):
         raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
@@ -324,7 +332,7 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
             break
         if not all(np.all(np.isfinite(W)) for W in net.weights):
             raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-        trace = forward_batch(net, X, cfg.inner_iters)
+        trace = forward_batch(net, X, cfg.inner_iters, start=state.get("trace"))
         e = mse(trace.outputs[-1], Y)
         if not np.isfinite(e):
             raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")

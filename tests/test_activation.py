@@ -398,6 +398,9 @@ class TestNewtonKernel:
                 )
 
     def test_warm_start_below_root(self):
+        # Starts below the root are used, not discarded: the first step
+        # from below lands above the root, and the monotone iteration
+        # continues from there to the cold solve's root.
         rng = np.random.default_rng(27)
         for _ in range(50):
             a, p, lam = random_params(rng, 64)
@@ -414,6 +417,82 @@ class TestNewtonKernel:
             for v0 in (0.0, 0.5 * cold, np.nan):
                 got = _solve_scalar(a[0], p[0], lam, 10, v0)
                 assert abs(got - cold) <= 1e-12 * max(1.0, abs(a[0]))
+
+
+class TestWarmStart:
+    # Warm starts on both sides of the root, near and far, and unusable
+    # ones (NaN, inf), over 15 exponents log-spaced across [P_MIN, P_MAX].
+    MAGNITUDES = TestNewtonKernel.MAGNITUDES
+    GRID_P = np.geomspace(P_MIN, P_MAX, 15)
+    GRID_LAM = (1e-10, 1e-3, 0.1, 1.0, 10.0)
+
+    @staticmethod
+    def starts(a, root):
+        return {
+            "0": np.zeros(a.size),
+            "1e-8 root": 1e-8 * root,
+            "root/2": 0.5 * root,
+            "root (1-1e-3)": root * (1.0 - 1e-3),
+            "root (1+1e-3)": root * (1.0 + 1e-3),
+            "2 root": 2.0 * root,
+            "1e8 root": 1e8 * root,
+            "-root": -root,
+            "a": a,
+            "nan": np.full(a.size, np.nan),
+            "inf": np.full(a.size, np.inf),
+        }
+
+    def test_every_start_reaches_the_root_within_six_steps(self):
+        # With the training budget of 10 every lane is the exact root to
+        # EXIT_TOL (or both underflow), and a budget of 6 (one step from
+        # below plus the cold worst case of 5) already gives that output.
+        tiny = np.finfo(np.float64).tiny
+        a = np.concatenate([self.MAGNITUDES, -self.MAGNITUDES])
+        for p in self.GRID_P:
+            pp = np.full(a.size, p)
+            for lam in self.GRID_LAM:
+                with np.errstate(over="ignore"):
+                    ref = np.array([bisect_root(x, p, lam, tol=None) for x in self.MAGNITUDES])
+                ref = np.concatenate([ref, -ref])
+                for name, v0 in self.starts(a, ref).items():
+                    v = evaluate_many(a, pp, lam, inner_iters=10, v0=v0)
+                    close = np.abs(v - ref) <= EXIT_TOL * np.abs(ref)
+                    bad = ~(close | ((np.abs(v) < tiny) & (np.abs(ref) < tiny)))
+                    assert not bad.any(), (
+                        f"p={p}, lam={lam}, v0={name}: a={a[bad][:3]} gives {v[bad][:3]}, root {ref[bad][:3]}"
+                    )
+                    assert_array_equal(
+                        evaluate_many(a, pp, lam, inner_iters=6, v0=v0),
+                        evaluate_many(a, pp, lam, inner_iters=100, v0=v0),
+                        err_msg=f"p={p}, lam={lam}, v0={name}",
+                    )
+
+
+class TestLimits:
+    A = np.linspace(-5.0, 5.0, 2001)
+    LAMS = (0.1, 1.0, 10.0)
+
+    def test_large_p_approaches_satlins(self):
+        # At p = P_MAX the power term pins |v| just below 1 once |a| > 1.
+        # The gap is widest at |a| = 1, where v = 1 - e solves
+        # lam*p*(1-e)**(p-1) = e, i.e. e ~ log(lam*p/e)/(p-1): 1.8e-3 at
+        # lam = 10 (1.4e-3 at lam = 0.1); smaller or larger |a| close it.
+        for lam in self.LAMS:
+            v = evaluate_many(self.A, P_MAX, lam, inner_iters=10)
+            assert np.max(np.abs(v - np.clip(self.A, -1.0, 1.0))) <= 2e-3, f"lam={lam}"
+
+    def test_small_p_approaches_soft_threshold(self):
+        # At p = P_MIN the equation is v + p*lam*|v|**(p-1)*sign(v) = a, and
+        # |v|**(p-1) = |v|**0.01 is near 1, so v is near the soft-threshold
+        # sign(a)*max(|a| - lam, 0).  Off the kink the gap is
+        # lam*|1 - p*|v|**0.01|, at most 0.027*lam for |v| <= 5; it is
+        # widest at the kink |a| = lam, where v = t*lam solves
+        # t + p*(t*lam)**0.01 = 1: t = 0.044, 0.026, 0.012 for lam = 0.1,
+        # 1, 10.
+        for lam in self.LAMS:
+            v = evaluate_many(self.A, P_MIN, lam, inner_iters=10)
+            soft = np.sign(self.A) * np.maximum(np.abs(self.A) - lam, 0.0)
+            assert np.max(np.abs(v - soft)) <= 0.05 * lam, f"lam={lam}"
 
 
 class TestExactRoots:
@@ -496,7 +575,7 @@ class TestGatheredWorkingSet:
     def test_gathered_lanes_with_warm_start(self):
         a = self._inputs()
         cold = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10)
-        # Above the root on even rows (used), below it on odd rows (ignored).
+        # Above the root on even rows, below it on odd rows; both are used.
         v0 = cold * np.where(np.arange(a.shape[0]) % 2 == 0, 1.5, 0.5)[:, None]
         warm = evaluate_many(a, self.P_ROW, self.LAM, inner_iters=10, v0=v0)
         assert_array_equal(warm, self._lane_by_lane(a, self.P_ROW, v0))

@@ -159,6 +159,29 @@ class TestForward:
         y2 = forward_batch(net, X).outputs[-1]
         assert_array_equal(y1, y2)
 
+    def test_start_trace_warm_starts_implicit_layers(self):
+        net = init_network([2, 4, 3, 2], "classification", lam=1.0, initial_p=3.0, seed=10)
+        X = np.random.default_rng(46).standard_normal((8, 2))
+        cold = forward_batch(net, X, inner_iters=10)
+        moved = net.copy()
+        moved.weights[0] *= 1.01
+        warm = forward_batch(moved, X, inner_iters=10, start=cold)
+        for k, V in enumerate(forward_batch(moved, X, inner_iters=10).outputs):
+            assert_allclose(warm.outputs[k], V, rtol=1e-12, atol=0)
+        # Starting at the roots themselves, one step confirms them.
+        again = forward_batch(moved, X, inner_iters=1, start=warm)
+        assert_allclose(again.outputs[-1], warm.outputs[-1], rtol=1e-12, atol=0)
+
+    def test_mismatched_start_trace_rejected(self):
+        net = init_network([2, 4, 3, 2], "classification", lam=1.0, initial_p=3.0, seed=10)
+        X = np.random.default_rng(47).standard_normal((8, 2))
+        # A one-row trace would broadcast silently into the solver.
+        one_row = forward_batch(net, X[:1])
+        other_net = forward_batch(init_network([2, 3, 3, 2], "classification", 1.0, 3.0, seed=10), X)
+        for start in (one_row, forward_batch(net, X[:5]), other_net):
+            with pytest.raises(ValueError):
+                forward_batch(net, X, start=start)
+
 
 class TestSerialization:
     def test_fmt_float_round_trips(self):

@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.activation import P_MAX, P_MIN, dv_da_many, dv_dp_many
-from pnet.data import Dataset, gen_square
+from pnet.data import Dataset, gen_activity_standin, gen_square
 from pnet.network import PNetwork, forward, forward_batch, init_network
 from pnet.training import (
     UPDATE_MODES,
     TrainConfig,
     TrainingDivergedError,
     TrainLog,
+    _apply_batch_pass,
     backprop,
     backprop_batch,
     classification_error,
@@ -266,6 +267,39 @@ class TestTrainBatch:
         _, log = train(net, data, cfg)
         assert log.p_labels == [(1, 0), (1, 1), (1, 2)]
         assert log.p_history.shape == (3, 3)
+
+
+class TestWarmStartedBatch:
+    # An ex3-shaped classifier (60-30-15-5, lam 1, p 5, inner_iters 10) on
+    # 300 rows of the activity stand-in, trained with batch updates whose
+    # error evaluations warm-start from the previous iteration's trace.
+    CFG = TrainConfig(alpha_w=0.1, alpha_p=0.1, max_iters=20, max_error=1e-300, inner_iters=10)
+
+    def _net_and_data(self):
+        net = init_network([60, 30, 15, 5], "classification", lam=1.0, initial_p=5.0, seed=13)
+        return net, gen_activity_standin(60, 977)
+
+    def test_matches_cold_solves(self):
+        net, data = self._net_and_data()
+        trained, log = train(net, data, self.CFG)
+        # The same updates with every evaluation solved cold.
+        ref, state, errors = net.copy(), {}, []
+        for _ in range(self.CFG.max_iters):
+            _apply_batch_pass(ref, data.inputs, data.targets, self.CFG, True, state)
+            state["trace"] = forward_batch(ref, data.inputs, self.CFG.inner_iters)
+            errors.append(mse(state["trace"].outputs[-1], data.targets))
+        assert_allclose(log.errors, errors, rtol=1e-12, atol=0)
+        for got, want in zip(trained.weights + trained.p_values[:-1], ref.weights + ref.p_values[:-1]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_reruns_are_byte_identical(self):
+        net, data = self._net_and_data()
+        t1, l1 = train(net, data, self.CFG)
+        t2, l2 = train(net, data, self.CFG)
+        assert l1.errors.tobytes() == l2.errors.tobytes()
+        assert l1.p_history.tobytes() == l2.p_history.tobytes()
+        for Wa, Wb in zip(t1.weights, t2.weights):
+            assert Wa.tobytes() == Wb.tobytes()
 
 
 class TestTrainIncremental:
