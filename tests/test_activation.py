@@ -10,9 +10,7 @@ from pnet.activation import (
     P_MAX,
     P_MIN,
     ActivationParams,
-    _dv_da_scalar,
-    _dv_dp_scalar,
-    _solve_scalar,
+    _scalar_layer,
     derivative_terms,
     dv_da,
     dv_da_many,
@@ -243,26 +241,120 @@ class TestProperties:
         assert_array_equal(v[::2], a[::2] / 3.0)
 
 
+def scalar_layer(a, p, lam, inner_iters=100, warm=None, with_dp=True):
+    """`_scalar_layer` on arrays, with cold (NaN) warm starts by default."""
+    warm = [np.nan] * len(a) if warm is None else warm
+    v, da, dp = _scalar_layer(list(map(float, a)), list(map(float, p)), lam, inner_iters, warm, with_dp)
+    return np.array(v), np.array(da), None if dp is None else np.array(dp)
+
+
 class TestScalarVectorAgreement:
+    # The incremental trainer's plain-Python layer routine against the array
+    # routines: outputs against `evaluate_many`, slopes and sensitivities
+    # against `dv_da_many` and `dv_dp_many` at the same outputs.
     def test_solver_routes_agree(self):
         rng = np.random.default_rng(23)
         for _ in range(N_CASES):
             a, p, lam = random_params(rng, int(rng.integers(1, 40)))
             vec = evaluate_many(a, p, lam)
-            scal = np.array([_solve_scalar(a[i], p[i], lam, 100) for i in range(a.size)])
+            scal, _, _ = scalar_layer(a, p, lam, with_dp=False)
             assert np.max(np.abs(scal - vec) / np.maximum(1.0, np.abs(a))) <= 1e-12
 
     def test_derivative_routes_agree(self):
         rng = np.random.default_rng(24)
         for _ in range(N_CASES):
             a, p, lam = random_params(rng, int(rng.integers(1, 40)))
-            v = evaluate_many(a, p, lam)
-            da_vec = dv_da_many(v, p, lam)
-            dp_vec = dv_dp_many(v, p, lam)
-            da_scal = np.array([_dv_da_scalar(v[i], p[i], lam) for i in range(v.size)])
-            dp_scal = np.array([_dv_dp_scalar(v[i], p[i], lam) for i in range(v.size)])
-            assert_allclose(da_scal, da_vec, rtol=1e-12, atol=1e-300)
-            assert_allclose(dp_scal, dp_vec, rtol=1e-12, atol=1e-300)
+            v, da_scal, dp_scal = scalar_layer(a, p, lam)
+            assert_allclose(da_scal, dv_da_many(v, p, lam), rtol=1e-12, atol=1e-300)
+            assert_allclose(dp_scal, dv_dp_many(v, p, lam), rtol=1e-12, atol=1e-300)
+
+    def test_sensitivities_only_on_request(self):
+        rng = np.random.default_rng(25)
+        a, p, lam = random_params(rng, 12)
+        v, da, dp = scalar_layer(a, p, lam, with_dp=False)
+        assert dp is None
+        v2, da2, _ = scalar_layer(a, p, lam)
+        assert_array_equal(v, v2)
+        assert_array_equal(da, da2)
+
+
+class TestScalarLayerEdges:
+    P = [1.01, 1.5, 2.0, 3.0, 100.0]
+
+    def test_lam_zero_is_identity(self):
+        a = [-2.0, 0.0, 0.5, 7.0, 1e4]
+        v, da, dp = scalar_layer(a, self.P, 0.0)
+        assert_array_equal(v, a)
+        assert_array_equal(da, np.ones(5))
+        assert_array_equal(dp, np.zeros(5))
+
+    def test_zero_input(self):
+        # v = 0: slope 0 for p < 2 (the power term is inf), 1/(1 + 2 lam)
+        # at p = 2 (|0|**0 is 1) and 1 for p > 2; the sensitivity is 0.
+        for lam in (1e-10, 1.0):
+            v, da, dp = scalar_layer([0.0] * 5, self.P, lam)
+            assert_array_equal(v, np.zeros(5))
+            assert_array_equal(da, [0.0, 0.0, 1.0 / (1.0 + 2.0 * lam), 1.0, 1.0])
+            assert_array_equal(dp, np.zeros(5))
+            assert_array_equal(da, dv_da_many(v, np.array(self.P), lam))
+
+    def test_power_overflow_below_p2(self):
+        # At p = 1.01, lam = 1 an input of 6e-4 has a subnormal root
+        # (2.5e-323), where |v|**(p-2) overflows: the slope is 0 and the
+        # sensitivity finite, as in the array routines.
+        a, p = np.array([6e-4, -6e-4]), np.array([1.01, 1.01])
+        v, da, dp = scalar_layer(a, p, 1.0)
+        assert np.all(v != 0.0) and np.all(np.abs(v) < 1e-300)
+        assert_array_equal(da, [0.0, 0.0])
+        assert np.all(np.isfinite(dp))
+        assert_allclose(dp, dv_dp_many(v, p, 1.0), rtol=0, atol=1e-300)
+
+    def test_large_power_at_p_max(self):
+        # |v| > 1 at p = 1e4: the power term reaches 9e299 at a = 1e300 and
+        # lam = 1e-10, the slope is ~1e-304, and the sensitivity stays finite.
+        # (A solved v cannot overflow the power at p > 2: the solve's own
+        # y**(p-2) would overflow first.)
+        a = np.array([1e4, 1e10, 1e300, -1e300])
+        p = np.full(4, P_MAX)
+        v, da, dp = scalar_layer(a, p, 1e-10)
+        assert np.all(np.abs(v) > 1.0)
+        assert np.all(np.isfinite(dp)) and np.all(dp != 0.0)
+        assert_allclose(v, evaluate_many(a, p, 1e-10), rtol=1e-12, atol=0)
+        assert_allclose(da, dv_da_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
+        assert_allclose(dp, dv_dp_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
+
+    def test_warm_row_overwritten_in_place(self):
+        rng = np.random.default_rng(26)
+        a, p, lam = random_params(rng, 8)
+        warm = [np.nan] * 8
+        v, _, _ = scalar_layer(a, p, lam, warm=warm)
+        assert warm == v.tolist()
+        v0, _, _ = scalar_layer(a, p, 0.0, warm=warm)
+        assert warm == a.tolist() == v0.tolist()
+
+    def test_unusable_warm_starts_are_discarded(self):
+        # NaN, infinite and below-root starts fall back to the cold bound, so
+        # even a one-step solve is bit-identical to the cold one.
+        rng = np.random.default_rng(27)
+        for _ in range(N_CASES):
+            a, p, lam = random_params(rng, 6)
+            root = evaluate_many(a, p, lam)
+            for steps in (1, 10):
+                cold, _, _ = scalar_layer(a, p, lam, steps)
+                for warm in ([np.nan] * 6, [np.inf] * 6, [-np.inf] * 6, (0.5 * root).tolist(), [0.0] * 6):
+                    got, _, _ = scalar_layer(a, p, lam, steps, warm=list(warm))
+                    assert_array_equal(got, cold)
+
+    def test_warm_start_above_root_is_used(self):
+        # Just above the root, one Newton step lands within rounding of it;
+        # the same single step from the cold bound does not.
+        a, p, lam = np.array([3.0, -3.0, 0.7]), np.array([5.0, 1.5, 30.0]), 1.0
+        root = evaluate_many(a, p, lam)
+        warm = (root * (1.0 + 1e-7)).tolist()
+        got, _, _ = scalar_layer(a, p, lam, 1, warm=warm)
+        cold, _, _ = scalar_layer(a, p, lam, 1)
+        assert_allclose(got, root, rtol=1e-12, atol=0)
+        assert np.all(np.abs(cold - root) > 1e-9 * np.abs(root))
 
 
 class TestThreshold:
@@ -410,12 +502,14 @@ class TestNewtonKernel:
                 assert_allclose(warm, cold, rtol=1e-12, atol=0)
 
     def test_scalar_warm_start_below_root(self):
+        # The plain-Python layer routine discards starts below the root (and
+        # NaN starts) and still reaches the cold solve's root.
         rng = np.random.default_rng(28)
         for _ in range(N_CASES):
             a, p, lam = random_params(rng, 1)
             cold = evaluate_many(a, p, lam)[0]
             for v0 in (0.0, 0.5 * cold, np.nan):
-                got = _solve_scalar(a[0], p[0], lam, 10, v0)
+                got = scalar_layer(a, p, lam, 10, warm=[v0], with_dp=False)[0][0]
                 assert abs(got - cold) <= 1e-12 * max(1.0, abs(a[0]))
 
 

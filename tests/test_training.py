@@ -303,6 +303,53 @@ class TestWarmStartedBatch:
 
 
 class TestTrainIncremental:
+    @staticmethod
+    def reference_passes(net, data, cfg, passes):
+        # The per-pair semantics, spelled out with the public single-row
+        # routines: forward one pair, take all its gradients at the
+        # parameters it found, then step the weights and clip each p.
+        ref = net.copy()
+        for _ in range(passes):
+            for x, y in zip(data.inputs, data.targets):
+                wg, pg = backprop(ref, forward(ref, x, cfg.inner_iters), y)
+                for k in range(ref.n_layers):
+                    ref.weights[k] -= cfg.alpha_w * wg[k]
+                    if pg[k] is not None:
+                        pk = ref.p_values[k]
+                        pk -= cfg.alpha_p * pg[k]
+                        np.clip(pk, P_MIN, P_MAX, out=pk)
+        return ref
+
+    def _check_against_reference(self, net, data, cfg):
+        trained, log = train(net, data, cfg)
+        assert log.errors.size == cfg.max_iters
+        ref = self.reference_passes(net, data, cfg, cfg.max_iters)
+        for got, want in zip(trained.weights, ref.weights):
+            assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        for got, want in zip(trained.p_values, ref.p_values):
+            if want is None:
+                assert got is None
+            else:
+                assert_allclose(got, want, rtol=1e-10, atol=0)
+        return trained
+
+    def test_three_passes_match_reference_regression(self):
+        net = init_network([1, 4, 3, 1], "regression", lam=1.0, initial_p=2.5, seed=21)
+        cfg = TrainConfig(0.05, 5.0, 3, 1e-300, inner_iters=100, update="incremental")
+        trained = self._check_against_reference(net, toy_regression(n=20, seed=21), cfg)
+        for before, after in zip(net.p_values, trained.p_values):
+            assert not np.array_equal(before, after)
+
+    def test_three_passes_match_reference_softmax_head(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((20, 2))
+        Y = np.zeros((20, 2))
+        Y[np.arange(20), (X[:, 0] > 0).astype(int)] = 1.0
+        net = init_network([2, 4, 2], "classification", lam=1.0, initial_p=2.5, seed=22)
+        cfg = TrainConfig(0.5, 2.0, 3, 1e-300, inner_iters=100, update="incremental")
+        trained = self._check_against_reference(net, Dataset(X, Y, "classification"), cfg)
+        assert not np.array_equal(net.p_values[0], trained.p_values[0])
+
     def test_single_sample_matches_batch(self):
         # With one training pair the mean gradient equals the pair
         # gradient, so both modes follow the same trajectory.
