@@ -7,7 +7,7 @@ taken from the ``PNET_OUT`` environment variable (falling back to
 
 Experiment configs are flat key-value dictionaries; any key can be
 overridden on the command line with ``--set key=value`` (values parsed as
-JSON, so lists and numbers work).
+JSON, so lists and numbers work); an unknown key is a usage error.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ EXPERIMENTS: dict[str, dict] = {
         "lambda": 1.0,
         "initial_p_hidden": 2.0,
         "initial_p_output": 2.0,
-        "initial_w": "normal",
         "alpha_w": 0.1,
         "alpha_p": 100.0,
         "max_iterations": 1000,
@@ -83,7 +82,6 @@ EXPERIMENTS: dict[str, dict] = {
         "lambda": 1e-10,
         "initial_p_hidden": 100.0,
         "initial_p_output": 2.0,
-        "initial_w": "normal",
         "alpha_w": 0.01,
         "alpha_p": 1e4,
         "max_iterations": 1000,
@@ -98,7 +96,6 @@ EXPERIMENTS: dict[str, dict] = {
         "variants": ["frozen", "adaptive", "baseline"],
         "baseline_hidden": "satlins",
         "baseline_output": "purelin",
-        "baseline_initial_w": "nguyen-widrow",
         "baseline_max_gradient": 1e-4,
     },
     # As ex2a but fitting y = |x|.
@@ -110,7 +107,6 @@ EXPERIMENTS: dict[str, dict] = {
         "lambda": 1.0,
         "initial_p_hidden": 5.0,
         "initial_p_output": None,
-        "initial_w": "normal",
         "alpha_w": 0.1,
         "alpha_p": 0.1,
         "max_iterations": 1000,
@@ -125,7 +121,6 @@ EXPERIMENTS: dict[str, dict] = {
         "variants": ["frozen", "adaptive", "baseline"],
         "baseline_hidden": "tansig",
         "baseline_output": "softmax",
-        "baseline_initial_w": "nguyen-widrow",
         "baseline_max_gradient": 1e-4,
     },
 }
@@ -134,19 +129,25 @@ EXPERIMENTS["ex2b"] = {**EXPERIMENTS["ex2a"], "data": "abs"}
 _TRUE_FUNCTIONS = {"sign": np.sign, "square": np.square, "abs": np.abs}
 
 
+def _merge_config(cfg: dict, updates: dict) -> dict:
+    """``cfg`` with ``updates`` applied; a key ``cfg`` lacks is a usage error."""
+    unknown = sorted(set(updates) - set(cfg))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(sorted(cfg))}")
+    return {**cfg, **updates}
+
+
 def _parse_overrides(items: list[str] | None, cfg: dict) -> dict:
-    out = dict(cfg)
+    updates = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        if key not in cfg:
-            raise ValueError(f"unknown config key {key!r}; valid keys: {', '.join(sorted(cfg))}")
         try:
-            out[key] = json.loads(raw)
+            updates[key] = json.loads(raw)
         except json.JSONDecodeError:
-            out[key] = raw
-    return out
+            updates[key] = raw
+    return _merge_config(cfg, updates)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -175,7 +176,12 @@ def _make_datasets(cfg: dict, seeds: list[int]):
 
 
 def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
-    """Train one variant; baselines always take full-batch steps."""
+    """Train one variant; baselines always take full-batch steps.
+
+    The one translator from the CLI's config keys, which mirror the
+    paper's tables, to network init and `TrainConfig`; `TrainConfig` keeps
+    its own field names because library code builds it by keyword.
+    """
     if variant == "baseline":
         net = nguyen_widrow_init(
             cfg["layer_sizes"],
@@ -192,7 +198,7 @@ def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
             cfg["lambda"],
             cfg["initial_p_hidden"],
             seed=seed,
-            initial_p_output=cfg.get("initial_p_output"),
+            initial_p_output=cfg["initial_p_output"],
         )
         alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
         update, max_gradient = cfg["update"], 0.0
@@ -371,6 +377,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed(args.tol) else 1
 
 
+# The training keys every `EXPERIMENTS` entry has, plus the init seed.
 _TRAIN_CONFIG_DEFAULTS = {
     "layer_sizes": None,  # required
     "head": None,  # required
@@ -390,24 +397,13 @@ _TRAIN_CONFIG_DEFAULTS = {
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         user_cfg = json.load(fh)
-    unknown = set(user_cfg) - set(_TRAIN_CONFIG_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = {**_TRAIN_CONFIG_DEFAULTS, **user_cfg}
+    if not isinstance(user_cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {type(user_cfg).__name__}")
+    cfg = _merge_config(_TRAIN_CONFIG_DEFAULTS, user_cfg)
     for key in ("layer_sizes", "head"):
         if cfg[key] is None:
             raise ValueError(f"config must set {key!r}")
-    data = load_csv(args.data)
-    net = init_network(
-        cfg["layer_sizes"], cfg["head"], cfg["lambda"], cfg["initial_p_hidden"],
-        seed=cfg["seed"], initial_p_output=cfg["initial_p_output"],
-    )
-    tc = TrainConfig(
-        alpha_w=cfg["alpha_w"], alpha_p=cfg["alpha_p"],
-        max_iters=cfg["max_iterations"], max_error=cfg["max_error"],
-        inner_iters=cfg["activation_iterations"], update=cfg["update"],
-    )
-    trained, log = train(net, data, tc)
+    trained, log = _train_variant(cfg, "adaptive", cfg["seed"], load_csv(args.data))
     save_network(trained, args.model)
     if args.log:
         _write_csv(args.log, ["iter", "E"], [[str(t), _g(e)] for t, e in enumerate(log.errors, 1)])

@@ -119,6 +119,14 @@ class ForwardTrace:
     outputs: list[np.ndarray] = field(default_factory=list)
 
 
+def _whole_sizes(layer_sizes) -> list[int]:
+    """Layer sizes as ints; a non-integral size raises instead of truncating."""
+    sizes = list(layer_sizes)
+    if any(int(r) != r for r in sizes):
+        raise ValueError(f"layer_sizes must be whole numbers, got {sizes}")
+    return [int(r) for r in sizes]
+
+
 def init_network(
     layer_sizes,
     head: str,
@@ -132,7 +140,7 @@ def init_network(
     ``initial_p_output`` overrides the output layer's p on regression nets
     (configs may start hidden and output layers at different exponents).
     """
-    sizes = [int(r) for r in layer_sizes]
+    sizes = _whole_sizes(layer_sizes)
     m = len(sizes) - 1
     rng = np.random.default_rng(seed)
     weights = [rng.standard_normal((sizes[k + 1], sizes[k] + 1)) for k in range(m)]
@@ -165,7 +173,7 @@ def nguyen_widrow_init(
     single neuron gets bias 0).  The kinds default to satlins/purelin on
     a regression head and tansig/softmax on a classification head.
     """
-    sizes = [int(r) for r in layer_sizes]
+    sizes = _whole_sizes(layer_sizes)
     m = len(sizes) - 1
     if hidden_kind is None:
         hidden_kind = "satlins" if head == "regression" else "tansig"

@@ -68,12 +68,12 @@ class TrainConfig:
             raise ValueError(f"alpha_w must be finite and > 0, got {self.alpha_w}")
         if not (np.isfinite(self.alpha_p) and self.alpha_p >= 0):
             raise ValueError(f"alpha_p must be finite and >= 0, got {self.alpha_p}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("max_iters", "inner_iters"):
+            value = getattr(self, name)  # both feed range(), which takes integers only
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (np.isfinite(self.max_error) and self.max_error > 0):
             raise ValueError(f"max_error must be finite and > 0, got {self.max_error}")
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.update not in UPDATE_MODES:
             raise ValueError(f"update must be one of {UPDATE_MODES}, got {self.update!r}")
         if not (np.isfinite(self.max_gradient) and self.max_gradient >= 0):
@@ -98,7 +98,7 @@ class TrainLog:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the batch error or a parameter becomes non-finite."""
+    """Raised when the batch error or a parameter becomes non-finite, or an update overflows."""
 
 
 def mse(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -292,8 +292,8 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     measured error drops below ``max_error``, or (batch only) before an
     update whose weight gradients are all below ``max_gradient``;
     raises `TrainingDivergedError` if a weight or the error becomes
-    non-finite.  Incremental updates need every layer implicit except a
-    softmax output.
+    non-finite or an update pass overflows.  Incremental updates need
+    every layer implicit except a softmax output.
 
     With batch updates, each error measurement warm-starts its activation
     solves from the previous measurement's outputs (`forward_batch`'s
@@ -318,8 +318,11 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     p_rows: list[np.ndarray] = []
     state: dict = {}
     for it in range(cfg.max_iters):
-        if update_pass(net, X, Y, cfg, adapt_p, state):
-            break
+        try:
+            if update_pass(net, X, Y, cfg, adapt_p, state):
+                break
+        except OverflowError as exc:  # Python float arithmetic raises where numpy gives inf
+            raise TrainingDivergedError(f"overflow in update pass {it + 1}") from exc
         if not all(np.all(np.isfinite(W)) for W in net.weights):
             raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
         trace = forward_batch(net, X, cfg.inner_iters, start=state.get("trace"))

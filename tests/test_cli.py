@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.cli import (
+    _TRAIN_CONFIG_DEFAULTS,
     EXPERIMENTS,
     _parse_layer_spec,
     _parse_overrides,
@@ -68,8 +69,18 @@ class TestOverrides:
     def test_bad_items_rejected(self):
         with pytest.raises(ValueError):
             _parse_overrides(["alpha_w"], {"alpha_w": 0.1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="valid keys: alpha_w"):
             _parse_overrides(["nope=1"], {"alpha_w": 0.1})
+
+    @pytest.mark.parametrize("name, key", [("ex1", "initial_w"), ("ex2a", "baseline_initial_w"),
+                                           ("ex3", "initial_w"), ("ex3", "baseline_initial_w")])
+    def test_unread_keys_are_usage_errors(self, tmp_path, capsys, name, key):
+        # No code reads a weight-init scheme, so no config offers one.
+        code = main(["experiment", name, "--out", str(tmp_path), "--repetitions", "1",
+                     "--set", f'{key}="uniform"'])
+        assert code == 2
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / name)
 
 
 class TestShapeCommand:
@@ -211,6 +222,44 @@ class TestTrainEvalCommands:
                      "--data", data_path, "--model", str(tmp_path / "m.txt")]) == 2
         assert main(["eval", "--model", str(tmp_path / "nope.txt"), "--data", data_path]) == 2
 
+    @pytest.mark.parametrize("bad", [{"max_iterations": 2.5}, {"activation_iterations": 10.0},
+                                     {"layer_sizes": [1, 2.5, 1]}])
+    def test_non_integral_counts_are_usage_errors(self, tmp_path, capsys, bad):
+        cfg_path, data_path = self.write_inputs(tmp_path)
+        with open(cfg_path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, **bad}, fh)
+        assert main(["train", "--config", cfg_path, "--data", data_path,
+                     "--model", str(tmp_path / "m.txt")]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.txt")
+
+    def test_non_object_config_is_usage_error(self, tmp_path):
+        cfg_path, data_path = self.write_inputs(tmp_path)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump([1, 2], fh)
+        assert main(["train", "--config", cfg_path, "--data", data_path,
+                     "--model", str(tmp_path / "m.txt")]) == 2
+
+    def test_same_model_as_experiment(self, tmp_path, capsys):
+        # `pnet train` and `pnet experiment` translate the same keys through
+        # one routine, so ex1's keys and data give ex1's model, byte for byte.
+        res = run_experiment("ex1", out_dir=str(tmp_path), repetitions=1,
+                             overrides=["max_iterations=3", "data_n=8"])
+        cfg = {key: EXPERIMENTS["ex1"][key] for key in _TRAIN_CONFIG_DEFAULTS if key != "seed"}
+        cfg_path = str(tmp_path / "config.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "max_iterations": 3, "seed": 1}, fh)
+        data_path = os.path.join(res["dir"], "data", "train_seed1.csv")
+        model_path = str(tmp_path / "model.txt")
+        assert main(["train", "--config", cfg_path, "--data", data_path, "--model", model_path]) == 0
+        capsys.readouterr()
+        with open(model_path, "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(res["dir"], "models", "adaptive_seed1.txt"), "rb") as fh:
+            assert got == fh.read()
+
     def test_malformed_json_is_usage_error(self, tmp_path):
         cfg_path, data_path = self.write_inputs(tmp_path)
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -294,6 +343,8 @@ class TestRunExperiment:
         for name, cfg in EXPERIMENTS.items():
             assert cfg["update"] in ("batch", "incremental"), name
             assert cfg["variants"], name
+            # `pnet train` reads the same keys, plus the init seed.
+            assert set(_TRAIN_CONFIG_DEFAULTS) - {"seed"} <= set(cfg), name
 
     def test_via_main(self, tmp_path, capsys):
         code = main(["experiment", "ex1", "--out", str(tmp_path), "--repetitions", "1",

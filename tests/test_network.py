@@ -41,6 +41,17 @@ class TestInitNetwork:
         assert net.p_values[-1] is None
         assert_array_equal(net.p_values[0], np.full(4, 5.0))
 
+    def test_non_integral_sizes_rejected(self):
+        for bad in ([1, 2.5, 1], [1.5, 2, 1], [1, "2", 1]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                init_network(bad, "regression", lam=1.0, initial_p=2.0, seed=0)
+            with pytest.raises(ValueError, match="whole numbers"):
+                nguyen_widrow_init(bad, "regression", seed=0)
+        # Integral floats and numpy integers are sizes, converted to int.
+        for ok in ([1, 2.0, 1], np.array([1, 2, 1])):
+            assert init_network(ok, "regression", lam=1.0, initial_p=2.0, seed=0).layer_sizes == [1, 2, 1]
+            assert nguyen_widrow_init(ok, "regression", seed=0).layer_sizes == [1, 2, 1]
+
     def test_seed_determinism(self):
         a = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=42)
         b = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=42)

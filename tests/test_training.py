@@ -167,6 +167,13 @@ class TestTrainConfig:
             TrainConfig(0.1, 0.0, 10, 0.0)
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=0)
+        # Iteration counts feed range(), so a float is rejected, even an integral one.
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                TrainConfig(0.1, 0.0, bad, 1e-3)
+            with pytest.raises(ValueError, match="inner_iters must be an integer"):
+                TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=bad)
+        assert TrainConfig(0.1, 0.0, np.int64(3), 1e-3, inner_iters=np.int32(5)).max_iters == 3
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, update="online")
         with pytest.raises(ValueError):
@@ -233,6 +240,20 @@ class TestTrainBatch:
         cfg = TrainConfig(alpha_w=1e12, alpha_p=0.0, max_iters=50, max_error=1e-300)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(net, toy_regression(seed=9), cfg)
+
+    @pytest.mark.parametrize("update", UPDATE_MODES)
+    def test_overflow_raises_diverged(self, update):
+        # The solve's Newton power overflows at this pre-activation: the
+        # incremental pass meets it in Python float arithmetic
+        # (OverflowError), the batch pass as a non-finite weight.
+        net = init_network([1, 1], "regression", lam=1e-300, initial_p=1e4, seed=0)
+        net.weights[0][:] = [[0.0, 1e300]]
+        data = Dataset(inputs=np.array([[1.0]]), targets=np.array([[0.0]]), task="regression")
+        cfg = TrainConfig(alpha_w=0.1, alpha_p=0.0, max_iters=2, max_error=1e-9, update=update)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as info:
+            train(net, data, cfg)
+        if update == "incremental":
+            assert isinstance(info.value.__cause__, OverflowError)
 
     def test_determinism(self):
         net = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.5, seed=10)
