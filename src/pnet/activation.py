@@ -247,6 +247,8 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
     and the result depends on ``v0`` at rounding level.  Without
     ``v0`` every lane starts at the cold bound.
     """
+    if inner_iters < 1:
+        raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
     a = _as_float_array(a)
     p = _as_float_array(p)
     out_shape = np.broadcast_shapes(a.shape, p.shape)

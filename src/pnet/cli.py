@@ -5,9 +5,13 @@ outputs are byte-identical across runs.  The default output directory is
 taken from the ``PNET_OUT`` environment variable (falling back to
 ``./pnet_out``).
 
-Experiment configs are flat key-value dictionaries; any key can be
-overridden on the command line with ``--set key=value`` (values parsed as
-JSON, so lists and numbers work); an unknown key is a usage error.
+Experiment configs and ``pnet train`` configs are flat key-value
+dictionaries; any experiment key can be overridden on the command line
+with ``--set key=value`` (values parsed as JSON, so lists and numbers
+work).  `_KEY_TYPES` holds each key's JSON type, and every merged config
+is checked against it before anything is built or written: an unknown
+key or a value of the wrong type (a JSON boolean included) is a usage
+error that names the key.
 """
 
 from __future__ import annotations
@@ -31,17 +35,18 @@ from .data import (
     save_csv,
     split_train_test,
 )
-from .network import fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
+from .network import HEADS, fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from .oracle import check_network_gradients, random_check_case
 from .training import (
     TrainConfig,
     TrainingDivergedError,
+    UPDATE_MODES,
     classification_error,
     mse,
     train,
 )
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_shape", "main"]
+__all__ = ["EXPERIMENTS", "VARIANTS", "run_experiment", "run_shape", "main"]
 
 _g = fmt_float
 
@@ -51,7 +56,9 @@ def default_out_dir() -> str:
 
 
 # Experiment defaults.  Keys mirror the configuration tables one-to-one;
-# any of them can be overridden with --set.
+# any of them can be overridden with --set.  The baseline variant has no
+# keys of its own: it takes `nguyen_widrow_init`'s kinds for the head
+# (satlins/purelin or tansig/softmax) and stops at BASELINE_MAX_GRADIENT.
 EXPERIMENTS: dict[str, dict] = {
     # Sign fit: adaptive p only, starting from the explicit p=2 regime.
     "ex1": {
@@ -94,9 +101,6 @@ EXPERIMENTS: dict[str, dict] = {
         "grid_hi": 1.0,
         "grid_points": 201,
         "variants": ["frozen", "adaptive", "baseline"],
-        "baseline_hidden": "satlins",
-        "baseline_output": "purelin",
-        "baseline_max_gradient": 1e-4,
     },
     # As ex2a but fitting y = |x|.
     "ex2b": None,  # filled in below
@@ -119,22 +123,69 @@ EXPERIMENTS: dict[str, dict] = {
         "train_per_class": 500,
         "test_total": 500,
         "variants": ["frozen", "adaptive", "baseline"],
-        "baseline_hidden": "tansig",
-        "baseline_output": "softmax",
-        "baseline_max_gradient": 1e-4,
     },
 }
 EXPERIMENTS["ex2b"] = {**EXPERIMENTS["ex2a"], "data": "abs"}
 
 _TRUE_FUNCTIONS = {"sign": np.sign, "square": np.square, "abs": np.abs}
+VARIANTS = ("frozen", "adaptive", "baseline")
+BASELINE_MAX_GRADIENT = 1e-4
+
+# The training keys every `EXPERIMENTS` entry has, plus the init seed.
+_TRAIN_CONFIG_DEFAULTS = {
+    "layer_sizes": None,  # required
+    "head": None,  # required
+    "lambda": 1.0,
+    "initial_p_hidden": 2.0,
+    "initial_p_output": None,
+    "alpha_w": 0.1,
+    "alpha_p": 0.0,
+    "max_iterations": 1000,
+    "max_error": 1e-4,
+    "activation_iterations": 100,
+    "update": "batch",
+    "seed": 0,
+}
+
+
+def _one_of(choices: tuple) -> tuple:
+    return f"one of {', '.join(choices)}", lambda v: v in choices
+
+
+# Every config key's JSON type, as (description, test).  JSON numbers load as
+# exact ints and floats, so testing type() also rejects booleans.  Ranges are
+# left to `TrainConfig`, `PNetwork.validate` and the data generators.
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_KEY_TYPES = {
+    **dict.fromkeys(["max_iterations", "activation_iterations", "seed", "data_n", "grid_points",
+                     "pool_per_class", "pool_seed", "train_per_class", "test_total"], _INT),
+    **dict.fromkeys(["lambda", "initial_p_hidden", "alpha_w", "alpha_p", "max_error",
+                     "data_lo", "data_hi", "grid_lo", "grid_hi"], _NUMBER),
+    "initial_p_output": ("a number or null", lambda v: v is None or _NUMBER[1](v)),
+    "layer_sizes": ("a non-empty list of integers", lambda v: type(v) is list and v and all(map(_INT[1], v))),
+    "head": _one_of(HEADS),
+    "update": _one_of(UPDATE_MODES),
+    "data": _one_of((*_TRUE_FUNCTIONS, "activity")),
+    "variants": (f"a non-empty list of distinct names from {', '.join(VARIANTS)}",
+                 lambda v: type(v) is list and v and all(x in VARIANTS for x in v) and len(set(v)) == len(v)),
+}
 
 
 def _merge_config(cfg: dict, updates: dict) -> dict:
-    """``cfg`` with ``updates`` applied; a key ``cfg`` lacks is a usage error."""
+    """``cfg`` with ``updates`` applied, every value checked against `_KEY_TYPES`.
+
+    A key ``cfg`` lacks, or a value of the wrong type, is a usage error.
+    """
     unknown = sorted(set(updates) - set(cfg))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(sorted(cfg))}")
-    return {**cfg, **updates}
+    merged = {**cfg, **updates}
+    for key, value in merged.items():
+        what, ok = _KEY_TYPES[key]
+        if not ok(value):
+            raise ValueError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+    return merged
 
 
 def _parse_overrides(items: list[str] | None, cfg: dict) -> dict:
@@ -162,55 +213,39 @@ def _make_datasets(cfg: dict, seeds: list[int]):
     kind = cfg["data"]
     if kind == "activity":
         pool = gen_activity_standin(cfg["pool_per_class"], cfg["pool_seed"])
-        return {
-            s: split_train_test(pool, cfg["train_per_class"], cfg["test_total"], seed=s)
-            for s in seeds
-        }
+        return {s: split_train_test(pool, cfg["train_per_class"], cfg["test_total"], seed=s) for s in seeds}
     if kind == "sign":
         return {s: (gen_sign(cfg["data_n"], cfg["data_lo"], cfg["data_hi"], seed=s), None) for s in seeds}
     if kind == "square":
         return {s: (gen_square(cfg["data_n"], seed=s), None) for s in seeds}
-    if kind == "abs":
-        return {s: (gen_abs(cfg["data_n"], seed=s), None) for s in seeds}
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    return {s: (gen_abs(cfg["data_n"], seed=s), None) for s in seeds}
+
+
+def _build_variant(cfg: dict, variant: str, seed: int):
+    """The untrained net and `TrainConfig` of one variant; baselines always take full-batch steps.
+
+    The one translator from the CLI's config keys to network init and
+    `TrainConfig`, which keeps its own field names for library callers.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {variant!r}")
+    if variant == "baseline":
+        net = nguyen_widrow_init(cfg["layer_sizes"], cfg["head"], seed=seed)
+        alpha_p, update, max_gradient = 0.0, "batch", BASELINE_MAX_GRADIENT
+    else:
+        net = init_network(cfg["layer_sizes"], cfg["head"], cfg["lambda"], cfg["initial_p_hidden"],
+                           seed=seed, initial_p_output=cfg["initial_p_output"])
+        alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
+        update, max_gradient = cfg["update"], 0.0
+    return net, TrainConfig(
+        alpha_w=cfg["alpha_w"], alpha_p=alpha_p, max_iters=cfg["max_iterations"], max_error=cfg["max_error"],
+        inner_iters=cfg["activation_iterations"], update=update, max_gradient=max_gradient,
+    )
 
 
 def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
-    """Train one variant; baselines always take full-batch steps.
-
-    The one translator from the CLI's config keys, which mirror the
-    paper's tables, to network init and `TrainConfig`; `TrainConfig` keeps
-    its own field names because library code builds it by keyword.
-    """
-    if variant == "baseline":
-        net = nguyen_widrow_init(
-            cfg["layer_sizes"],
-            cfg["head"],
-            seed=seed,
-            hidden_kind=cfg["baseline_hidden"],
-            output_kind=cfg["baseline_output"],
-        )
-        alpha_p, update, max_gradient = 0.0, "batch", cfg["baseline_max_gradient"]
-    else:
-        net = init_network(
-            cfg["layer_sizes"],
-            cfg["head"],
-            cfg["lambda"],
-            cfg["initial_p_hidden"],
-            seed=seed,
-            initial_p_output=cfg["initial_p_output"],
-        )
-        alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
-        update, max_gradient = cfg["update"], 0.0
-    tc = TrainConfig(
-        alpha_w=cfg["alpha_w"],
-        alpha_p=alpha_p,
-        max_iters=cfg["max_iterations"],
-        max_error=cfg["max_error"],
-        inner_iters=cfg["activation_iterations"],
-        update=update,
-        max_gradient=max_gradient,
-    )
+    """Train one variant on ``data``; returns `train`'s (net, log)."""
+    net, tc = _build_variant(cfg, variant, seed)
     return train(net, data, tc)
 
 
@@ -243,59 +278,57 @@ def run_experiment(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     cfg = _parse_overrides(overrides, EXPERIMENTS[name])
-    out_base = out_dir if out_dir is not None else default_out_dir()
-    exp_dir = os.path.join(out_base, name)
+    seeds = [seed + i for i in range(repetitions)]
+    datasets = _make_datasets(cfg, seeds)
+    grid = None
+    if cfg["head"] == "regression":
+        x = np.linspace(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_points"])[:, None]
+        grid = (x, _TRUE_FUNCTIONS[cfg["data"]](x))
+    # Every dataset, net and TrainConfig is built, so every key checked, before anything is written.
+    runs = {(v, s): _build_variant(cfg, v, s) for v in cfg["variants"] for s in seeds}
+    exp_dir = os.path.join(out_dir if out_dir is not None else default_out_dir(), name)
     model_dir = os.path.join(exp_dir, "models")
     data_dir = os.path.join(exp_dir, "data")
     os.makedirs(model_dir, exist_ok=True)
     os.makedirs(data_dir, exist_ok=True)
-
-    seeds = [seed + i for i in range(repetitions)]
-    datasets = _make_datasets(cfg, seeds)
     for s in seeds:
         train_data, test_data = datasets[s]
         save_csv(train_data, os.path.join(data_dir, f"train_seed{s}.csv"))
         if test_data is not None:
             save_csv(test_data, os.path.join(data_dir, f"test_seed{s}.csv"))
 
-    grid = None
-    if cfg["head"] == "regression":
-        x = np.linspace(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_points"])[:, None]
-        grid = (x, _TRUE_FUNCTIONS[cfg["data"]](x))
-
     error_rows, p_rows, summary_rows, pred_rows = [], [], [], []
     results = []
     per_variant: dict[str, list] = {}
-    for variant in cfg["variants"]:
-        for s in seeds:
-            train_data, test_data = datasets[s]
-            net, log = _train_variant(cfg, variant, s, train_data)
-            e_train, e_test, yhat_grid = _final_errors(cfg, net, train_data, test_data, grid)
-            for it, e in enumerate(log.errors, start=1):
-                error_rows.append([str(it), variant, str(s), _g(e)])
-            if log.p_history is not None:
-                for it, snap in enumerate(log.p_history, start=1):
-                    for (layer, neuron), pv in zip(log.p_labels, snap):
-                        p_rows.append([str(it), str(layer), str(neuron + 1), _g(pv), variant, str(s)])
-            if yhat_grid is not None:
-                for xg, yt, yp in zip(grid[0][:, 0], grid[1][:, 0], yhat_grid[:, 0]):
-                    pred_rows.append([variant, str(s), _g(xg), _g(yt), _g(yp)])
-            summary_rows.append([variant, str(s), _g(e_train), _g(e_test)])
-            model_path = os.path.join(model_dir, f"{variant}_seed{s}.txt")
-            save_network(net, model_path)
-            rec = {
-                "variant": variant,
-                "seed": s,
-                "train_error": e_train,
-                "test_error": e_test,
-                "iterations": int(log.errors.size),
-            }
-            results.append(rec)
-            per_variant.setdefault(variant, []).append(rec)
-            print(
-                f"{name} {variant} seed {s}: iterations={rec['iterations']} "
-                f"train_error={e_train:.6g} test_error={e_test:.6g}"
-            )
+    for (variant, s), (net, tc) in runs.items():
+        train_data, test_data = datasets[s]
+        net, log = train(net, train_data, tc)
+        e_train, e_test, yhat_grid = _final_errors(cfg, net, train_data, test_data, grid)
+        for it, e in enumerate(log.errors, start=1):
+            error_rows.append([str(it), variant, str(s), _g(e)])
+        if log.p_history is not None:
+            for it, snap in enumerate(log.p_history, start=1):
+                for (layer, neuron), pv in zip(log.p_labels, snap):
+                    p_rows.append([str(it), str(layer), str(neuron + 1), _g(pv), variant, str(s)])
+        if yhat_grid is not None:
+            for xg, yt, yp in zip(grid[0][:, 0], grid[1][:, 0], yhat_grid[:, 0]):
+                pred_rows.append([variant, str(s), _g(xg), _g(yt), _g(yp)])
+        summary_rows.append([variant, str(s), _g(e_train), _g(e_test)])
+        model_path = os.path.join(model_dir, f"{variant}_seed{s}.txt")
+        save_network(net, model_path)
+        rec = {
+            "variant": variant,
+            "seed": s,
+            "train_error": e_train,
+            "test_error": e_test,
+            "iterations": int(log.errors.size),
+        }
+        results.append(rec)
+        per_variant.setdefault(variant, []).append(rec)
+        print(
+            f"{name} {variant} seed {s}: iterations={rec['iterations']} "
+            f"train_error={e_train:.6g} test_error={e_test:.6g}"
+        )
 
     if cfg["data"] == "activity":
         for variant in cfg["variants"]:
@@ -377,32 +410,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed(args.tol) else 1
 
 
-# The training keys every `EXPERIMENTS` entry has, plus the init seed.
-_TRAIN_CONFIG_DEFAULTS = {
-    "layer_sizes": None,  # required
-    "head": None,  # required
-    "lambda": 1.0,
-    "initial_p_hidden": 2.0,
-    "initial_p_output": None,
-    "alpha_w": 0.1,
-    "alpha_p": 0.0,
-    "max_iterations": 1000,
-    "max_error": 1e-4,
-    "activation_iterations": 100,
-    "update": "batch",
-    "seed": 0,
-}
-
-
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         user_cfg = json.load(fh)
     if not isinstance(user_cfg, dict):
         raise ValueError(f"config must be a JSON object, got {type(user_cfg).__name__}")
-    cfg = _merge_config(_TRAIN_CONFIG_DEFAULTS, user_cfg)
-    for key in ("layer_sizes", "head"):
-        if cfg[key] is None:
-            raise ValueError(f"config must set {key!r}")
+    cfg = _merge_config(_TRAIN_CONFIG_DEFAULTS, user_cfg)  # a required key left None fails its type
     trained, log = _train_variant(cfg, "adaptive", cfg["seed"], load_csv(args.data))
     save_network(trained, args.model)
     if args.log:

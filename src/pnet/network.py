@@ -120,9 +120,9 @@ class ForwardTrace:
 
 
 def _whole_sizes(layer_sizes) -> list[int]:
-    """Layer sizes as ints; a non-integral size raises instead of truncating."""
+    """Layer sizes as ints; a non-integral or boolean size raises instead of truncating."""
     sizes = list(layer_sizes)
-    if any(int(r) != r for r in sizes):
+    if any(isinstance(r, (bool, np.bool_)) or int(r) != r for r in sizes):
         raise ValueError(f"layer_sizes must be whole numbers, got {sizes}")
     return [int(r) for r in sizes]
 
@@ -138,8 +138,11 @@ def init_network(
     """Standard-normal weights/biases from a seeded generator, uniform p.
 
     ``initial_p_output`` overrides the output layer's p on regression nets
-    (configs may start hidden and output layers at different exponents).
+    (configs may start hidden and output layers at different exponents);
+    a classification net's softmax output has no p, so it must be None there.
     """
+    if head == "classification" and initial_p_output is not None:
+        raise ValueError(f"initial_p_output must be None on a classification head, got {initial_p_output}")
     sizes = _whole_sizes(layer_sizes)
     m = len(sizes) - 1
     rng = np.random.default_rng(seed)

@@ -64,13 +64,16 @@ class TrainConfig:
     max_gradient: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha_w", "alpha_p", "max_error", "max_gradient"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (np.isfinite(self.alpha_w) and self.alpha_w > 0):
             raise ValueError(f"alpha_w must be finite and > 0, got {self.alpha_w}")
         if not (np.isfinite(self.alpha_p) and self.alpha_p >= 0):
             raise ValueError(f"alpha_p must be finite and >= 0, got {self.alpha_p}")
         for name in ("max_iters", "inner_iters"):
             value = getattr(self, name)  # both feed range(), which takes integers only
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (np.isfinite(self.max_error) and self.max_error > 0):
             raise ValueError(f"max_error must be finite and > 0, got {self.max_error}")

@@ -424,6 +424,13 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             evaluate_many(np.array([np.nan]), np.array([2.0]), 0.5)
 
+    def test_inner_iters_below_one_rejected(self):
+        # With no Newton step the start bound would be returned as the root.
+        for lam in (0.0, 1.0):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match="inner_iters must be >= 1"):
+                    evaluate_many(np.ones(3), np.full(3, 5.0), lam, bad)
+
     def test_vector_lam_rejected(self):
         with pytest.raises((TypeError, ValueError)):
             evaluate_many(np.ones(3), np.full(3, 2.0), np.full(3, 0.5))

@@ -9,17 +9,20 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.cli import (
+    _KEY_TYPES,
     _TRAIN_CONFIG_DEFAULTS,
     EXPERIMENTS,
+    _merge_config,
     _parse_layer_spec,
     _parse_overrides,
+    _train_variant,
     build_parser,
     main,
     run_experiment,
     run_shape,
 )
 from pnet.data import gen_square, save_csv
-from pnet.network import forward_batch, load_network
+from pnet.network import forward_batch, init_network, load_network, save_network
 from pnet.training import mse
 
 
@@ -73,14 +76,85 @@ class TestOverrides:
             _parse_overrides(["nope=1"], {"alpha_w": 0.1})
 
     @pytest.mark.parametrize("name, key", [("ex1", "initial_w"), ("ex2a", "baseline_initial_w"),
-                                           ("ex3", "initial_w"), ("ex3", "baseline_initial_w")])
+                                           ("ex3", "initial_w"), ("ex3", "baseline_initial_w"),
+                                           ("ex2a", "baseline_max_gradient"), ("ex3", "baseline_hidden")])
     def test_unread_keys_are_usage_errors(self, tmp_path, capsys, name, key):
-        # No code reads a weight-init scheme, so no config offers one.
+        # No code reads a weight-init scheme, and the baseline's kinds and
+        # gradient stop are fixed, so no config offers them.
         code = main(["experiment", name, "--out", str(tmp_path), "--repetitions", "1",
                      "--set", f'{key}="uniform"'])
         assert code == 2
         assert f"unknown config key(s) {key}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / name)
+
+
+# (key, --set text, classification head) cases that once escaped as a bare
+# TypeError (exit 1, the "diverged" code), were coerced or misread silently
+# (exit 0), or were ignored (initial_p_output on a softmax output).
+BAD_CONFIG_VALUES = [
+    ("alpha_w", '"x"', False),
+    ("max_error", '"1e-4"', False),
+    ("seed", "1.5", False),
+    ("layer_sizes", "[1, null, 1]", False),
+    ("grid_points", "2.5", False),
+    ("lambda", '"1"', False),
+    ("max_iterations", "true", False),
+    ("layer_sizes", "[1, true, 1]", False),
+    ("layer_sizes", "null", False),
+    ("head", "null", False),
+    ("grid_lo", "true", False),
+    ("variants", '["adaptve"]', False),
+    ("variants", "adaptive", False),  # not JSON, so --set reads the bare string
+    ("variants", "[]", False),
+    ("variants", '["frozen", "adaptive", "frozen"]', False),
+    ("initial_p_output", "7", True),
+]
+
+
+def _bad_config_cases():
+    for key, raw, classification in BAD_CONFIG_VALUES:
+        if key in EXPERIMENTS["ex1"]:
+            yield pytest.param("experiment", key, raw, classification, id=f"experiment-{key}={raw}")
+        if key in _TRAIN_CONFIG_DEFAULTS:
+            yield pytest.param("train", key, raw, classification, id=f"train-{key}={raw}")
+
+
+@pytest.mark.parametrize("command, key, raw, classification", _bad_config_cases())
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, classification):
+    out = tmp_path / "out"
+    if command == "experiment":
+        name = "ex3" if classification else "ex1"
+        code = main(["experiment", name, "--out", str(out), "--repetitions", "1", "--set", f"{key}={raw}"])
+    else:
+        data_path = str(tmp_path / "train.csv")
+        save_csv(gen_square(10, seed=3), data_path)
+        cfg = {"layer_sizes": [1, 3, 1], "head": "classification" if classification else "regression"}
+        cfg[key] = json.loads(raw)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["train", "--config", str(cfg_path), "--data", data_path, "--model", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "must be" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+@pytest.mark.parametrize("command", ["eval", "shape", "gradcheck"])
+def test_inner_iters_below_one_is_usage_error(tmp_path, capsys, command, iters):
+    out = tmp_path / "shape.csv"
+    if command == "eval":
+        model_path, data_path = str(tmp_path / "model.txt"), str(tmp_path / "data.csv")
+        save_network(init_network([1, 3, 1], "regression", 1.0, 2.0, seed=0), model_path)
+        save_csv(gen_square(10, seed=3), data_path)
+        argv = ["eval", "--model", model_path, "--data", data_path]
+    elif command == "shape":
+        argv = ["shape", "--p", "5", "--out", str(out)]
+    else:
+        argv = ["gradcheck"]
+    assert main(argv + ["--inner-iters", iters]) == 2
+    assert "inner_iters must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestShapeCommand:
@@ -345,6 +419,16 @@ class TestRunExperiment:
             assert cfg["variants"], name
             # `pnet train` reads the same keys, plus the init seed.
             assert set(_TRAIN_CONFIG_DEFAULTS) - {"seed"} <= set(cfg), name
+            # Every canned value passes its own type check.
+            assert _merge_config(cfg, {}) == cfg, name
+        required = {"layer_sizes": [1, 1], "head": "regression"}  # the defaults leave these None
+        assert _merge_config(_TRAIN_CONFIG_DEFAULTS, required) == {**_TRAIN_CONFIG_DEFAULTS, **required}
+        # The type table covers exactly the keys the configs use.
+        assert set(_KEY_TYPES) == set(_TRAIN_CONFIG_DEFAULTS).union(*EXPERIMENTS.values())
+
+    def test_unknown_variant_is_rejected(self):
+        with pytest.raises(ValueError, match="variant must be one of frozen, adaptive, baseline"):
+            _train_variant(EXPERIMENTS["ex1"], "adaptve", 1, gen_square(5, seed=1))
 
     def test_via_main(self, tmp_path, capsys):
         code = main(["experiment", "ex1", "--out", str(tmp_path), "--repetitions", "1",

@@ -41,8 +41,13 @@ class TestInitNetwork:
         assert net.p_values[-1] is None
         assert_array_equal(net.p_values[0], np.full(4, 5.0))
 
+    def test_classification_rejects_initial_p_output(self):
+        # A softmax output has no p, so an output exponent would be ignored.
+        with pytest.raises(ValueError, match="initial_p_output must be None"):
+            init_network([3, 4, 2], "classification", lam=1.0, initial_p=5.0, seed=0, initial_p_output=7.0)
+
     def test_non_integral_sizes_rejected(self):
-        for bad in ([1, 2.5, 1], [1.5, 2, 1], [1, "2", 1]):
+        for bad in ([1, 2.5, 1], [1.5, 2, 1], [1, "2", 1], [1, True, 1], [1, np.True_, 1]):
             with pytest.raises(ValueError, match="whole numbers"):
                 init_network(bad, "regression", lam=1.0, initial_p=2.0, seed=0)
             with pytest.raises(ValueError, match="whole numbers"):

@@ -168,12 +168,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=0)
         # Iteration counts feed range(), so a float is rejected, even an integral one.
-        for bad in (2.5, 3.0, "3", None):
+        for bad in (2.5, 3.0, "3", None, True):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 TrainConfig(0.1, 0.0, bad, 1e-3)
             with pytest.raises(ValueError, match="inner_iters must be an integer"):
                 TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=bad)
         assert TrainConfig(0.1, 0.0, np.int64(3), 1e-3, inner_iters=np.int32(5)).max_iters == 3
+        good = dict(alpha_w=0.1, alpha_p=0.0, max_iters=10, max_error=1e-3)
+        for name in ("alpha_w", "alpha_p", "max_error", "max_gradient"):
+            for bad in (True, np.True_):
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    TrainConfig(**{**good, name: bad})
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, update="online")
         with pytest.raises(ValueError):
