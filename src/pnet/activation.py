@@ -366,38 +366,30 @@ def evaluate(a, params: ActivationParams):
     return _scalar_or_array(np.asarray(out))
 
 
-def _scalar_layer(a, p, lam: float, inner_iters: int, warm, with_dp: bool):
+def _scalar_layer(a, p, lam: float, inner_iters: int, with_dp: bool):
     """Outputs, slopes and p-sensitivities of one layer for one input row.
 
-    ``a`` (pre-activations), ``p`` and ``warm`` (warm starts) are lists
-    of Python floats, one entry per neuron.  Returns the lists ``(v,
-    dv/da, dv/dp)``, the last None unless ``with_dp``, and overwrites
-    ``warm`` in place with ``v``.  Each neuron is solved and
-    differentiated in one pass of a plain-Python loop.
+    ``a`` (pre-activations) and ``p`` are lists of Python floats, one
+    entry per neuron.  Returns the lists ``(v, dv/da, dv/dp)``, the last
+    None unless ``with_dp``.  Each neuron is solved and differentiated in
+    one pass of a plain-Python loop.
 
     The incremental trainer calls this once per layer and pair.  On
     layers of a few neurons the array routines' per-call overhead
     dwarfs the arithmetic: over ex2a's layers of 1 to 10 neurons this
     routine takes about 25 µs per call, and `evaluate_many` plus the
     three derivative routines 130-200 µs (2-core Xeon, one thread).
-    The solve uses the variable, cold start, step and stop rule of
-    `evaluate_many`, and the derivatives the formulas of `dv_da_many`
-    and `dv_dp_many`; the two routes agree to rounding, not bit for bit.
-
-    Rounding on this path must not move: adaptive ex2a nets amplify a
-    one-ulp change in one pair's step into a different trained net, and
-    some of those diverge.  So the per-element arithmetic is fixed, down
-    to the order of its operations, and so is the warm-start rule, which
-    differs from `evaluate_many`'s: a start is used only where it is an
-    upper bound of the root (its residual is nonnegative), and a start
-    below the root, NaN or infinite, is discarded for the cold bound.
+    The solve is `evaluate_many`'s cold solve (the same variable, start,
+    step and stop rule), and the derivatives use the formulas of
+    `dv_da_many` and `dv_dp_many`; the two routes agree to rounding, not
+    bit for bit.
     """
     if lam == 0.0:
-        warm[:] = a
         return list(a), [1.0] * len(a), ([0.0] * len(a) if with_dp else None)
+    vs = []
     slopes = []
     sens = [] if with_dp else None
-    for j, (aj, pj) in enumerate(zip(a, p)):
+    for aj, pj in zip(a, p):
         x = abs(aj)
         if x == 0.0:
             v = aj
@@ -410,11 +402,6 @@ def _scalar_layer(a, p, lam: float, inner_iters: int, warm, with_dp: bool):
             log_K = nm1 * math.log(max(x, _TINY)) + (math.log(k) - n * math.log(d))
             L = max(log_K + math.log(n), 0.0)
             y = math.exp(max(log_K, L - math.log1p(L)) * (-1.0 / n)) * x / d
-            w = abs(warm[j])
-            if pj < 2.0 and math.isfinite(w):
-                w = w ** (pj - 1.0)
-            if w < y and w * (d + k * w**nm1) >= x:
-                y = w
             tol1 = 1.0 + math.sqrt(_EPS / max(nm1, _EPS))
             km1 = k * nm1
             kn = k * n
@@ -428,7 +415,7 @@ def _scalar_layer(a, p, lam: float, inner_iters: int, warm, with_dp: bool):
             if pj < 2.0:
                 y = y**n
             v = math.copysign(min(y, x), aj)
-        warm[j] = v
+        vs.append(v)
         # lam*p*|v|**(p-2), shared by both derivatives; inf where the power
         # overflows or where v = 0 and p < 2.
         try:
@@ -441,7 +428,7 @@ def _scalar_layer(a, p, lam: float, inner_iters: int, warm, with_dp: bool):
                 sens.append(0.0)
             else:
                 sens.append(v * (-1.0 - pj * math.log(abs(v))) / (pj / power + pj * (pj - 1.0)))
-    return list(warm), slopes, sens
+    return vs, slopes, sens
 
 
 def _power(av: np.ndarray, p: np.ndarray, lam: float) -> np.ndarray:

@@ -41,6 +41,7 @@ from .training import (
     TrainConfig,
     TrainingDivergedError,
     UPDATE_MODES,
+    check_dataset,
     classification_error,
     mse,
     train,
@@ -128,6 +129,16 @@ EXPERIMENTS: dict[str, dict] = {
 EXPERIMENTS["ex2b"] = {**EXPERIMENTS["ex2a"], "data": "abs"}
 
 _TRUE_FUNCTIONS = {"sign": np.sign, "square": np.square, "abs": np.abs}
+# The experiment keys each data kind and each head reads.  A --set that
+# switches to a kind or head whose keys the experiment lacks is a usage error.
+_NEEDED_KEYS = {
+    "activity": ("pool_per_class", "pool_seed", "train_per_class", "test_total"),
+    "sign": ("data_n", "data_lo", "data_hi"),
+    "square": ("data_n",),
+    "abs": ("data_n",),
+    "regression": ("grid_lo", "grid_hi", "grid_points"),
+    "classification": (),
+}
 VARIANTS = ("frozen", "adaptive", "baseline")
 BASELINE_MAX_GRADIENT = 1e-4
 
@@ -278,6 +289,10 @@ def run_experiment(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     cfg = _parse_overrides(overrides, EXPERIMENTS[name])
+    missing = [key for key in _NEEDED_KEYS[cfg["data"]] + _NEEDED_KEYS[cfg["head"]] if key not in cfg]
+    if missing:
+        raise ValueError(f"{name} with data {cfg['data']} and head {cfg['head']} needs config key(s) "
+                         f"{', '.join(missing)}, which {name} does not have")
     seeds = [seed + i for i in range(repetitions)]
     datasets = _make_datasets(cfg, seeds)
     grid = None
@@ -286,6 +301,8 @@ def run_experiment(
         grid = (x, _TRUE_FUNCTIONS[cfg["data"]](x))
     # Every dataset, net and TrainConfig is built, so every key checked, before anything is written.
     runs = {(v, s): _build_variant(cfg, v, s) for v in cfg["variants"] for s in seeds}
+    for (_, s), (net, _) in runs.items():
+        check_dataset(net, datasets[s][0])
     exp_dir = os.path.join(out_dir if out_dir is not None else default_out_dir(), name)
     model_dir = os.path.join(exp_dir, "models")
     data_dir = os.path.join(exp_dir, "data")

@@ -7,7 +7,8 @@ per-neuron shape exponent p; the fixed kinds (saturating linear,
 hyperbolic tangent sigmoid, identity, softmax) carry no p.  Biases are
 stored as weight column 0 against a fixed virtual input of 1, so one
 matrix per layer carries everything and the gradient formulas stay
-uniform.  A classification head ends in a softmax layer.
+uniform.  A classification head ends in a softmax layer, and no other
+head does.
 
 `init_network` builds the implicit-activation nets the paper trains;
 `nguyen_widrow_init` builds the fixed-activation baselines they are
@@ -85,8 +86,8 @@ class PNetwork:
                 raise ValueError(f"layer {k + 1}: p vector missing or misshaped")
             elif np.any(pk < P_MIN) or np.any(pk > P_MAX):
                 raise ValueError(f"layer {k + 1}: p outside [{P_MIN}, {P_MAX}]")
-        if self.head == "classification" and self.activations[-1] != "softmax":
-            raise ValueError("a classification head needs a softmax output layer")
+        if (self.head == "classification") != (self.activations[-1] == "softmax"):
+            raise ValueError("the output layer must be softmax exactly when the head is classification")
 
     @property
     def n_layers(self) -> int:

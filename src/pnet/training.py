@@ -10,7 +10,6 @@ elementwise delta (yhat - y) * yhat * (1 - yhat).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ __all__ = [
     "mse",
     "backprop",
     "backprop_batch",
+    "check_dataset",
     "train",
     "classification_error",
 ]
@@ -186,13 +186,13 @@ def _p_snapshot(net: PNetwork) -> np.ndarray:
     return np.concatenate([pk for pk in net.p_values if pk is not None])
 
 
-def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> bool:
+def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, trace: ForwardTrace | None) -> bool:
     """One full-batch update: mean gradients at the current parameters.
 
-    Returns True, without updating, when the largest weight-gradient
-    magnitude is below ``cfg.max_gradient``.
+    ``trace`` is a forward pass of ``X`` at those parameters, or None to
+    run one cold.  Returns True, without updating, when the largest
+    weight-gradient magnitude is below ``cfg.max_gradient``.
     """
-    trace = state.get("trace")
     if trace is None:
         trace = forward_batch(net, X, cfg.inner_iters)
     wg, pg = backprop_batch(net, trace, Y, compute_p=adapt_p)
@@ -207,7 +207,7 @@ def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, stat
     return False
 
 
-def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, state: dict) -> bool:
+def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool) -> None:
     """One cycle of per-pair updates, in dataset order.
 
     Every layer is implicit except possibly a softmax output.  Each
@@ -217,10 +217,10 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
     also returns the slopes and p-sensitivities the backward sweep
     needs.  That plain-Python route is about six times faster than array
     calls on ex2a's layers of 1 to 10 neurons; numpy is kept for the
-    per-pair matrix products and the weight step.  Each pair's
-    activation solves warm-start from that pair's solutions on the
-    previous cycle.  The p values live in Python lists during the pass
-    and are written back to ``net.p_values`` at its end.
+    per-pair matrix products and the weight step.  Every solve starts
+    cold, so the pass reads nothing but the net and the data.  The p
+    values live in Python lists during the pass and are written back to
+    ``net.p_values`` at its end.
     """
     m = net.n_layers
     n = X.shape[0]
@@ -229,11 +229,6 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
     inner = cfg.inner_iters
     # Layers 0 .. n_implicit-1 are implicit; a softmax output follows them.
     n_implicit = m - 1 if net.activations[-1] == "softmax" else m
-    warm = state.get("warm")
-    if warm is None:
-        warm = [[[math.nan] * net.layer_sizes[k + 1] for _ in range(n)] for k in range(n_implicit)]
-        state["warm"] = warm
-    state["trace"] = None  # parameters move mid-pass; never reuse a stale trace
     ps = [net.p_values[k].tolist() for k in range(n_implicit)]
 
     outs = [None] * (m + 1)
@@ -251,7 +246,7 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
                 z = np.exp(a - a.max())
                 v = z / z.sum()
             else:
-                vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], lam, inner, warm[k][i], adapt_p)
+                vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], lam, inner, adapt_p)
                 v = np.array(vl)
             outs[k + 1] = v
 
@@ -278,10 +273,19 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
     if adapt_p:
         for k in range(n_implicit):
             net.p_values[k][:] = ps[k]
-    return False
 
 
-_UPDATE_PASSES = {"batch": _apply_batch_pass, "incremental": _apply_incremental_pass}
+def check_dataset(net: PNetwork, data: Dataset) -> None:
+    """Raise ValueError unless ``data`` has ``net``'s task and row widths."""
+    if (data.task == "classification") != (net.head == "classification"):
+        raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
+    sizes = net.layer_sizes
+    widths = (data.inputs.shape[1], data.targets.shape[1])
+    if widths != (sizes[0], sizes[-1]):
+        raise ValueError(
+            f"layer_sizes {sizes} need input width {sizes[0]} and target width {sizes[-1]}, "
+            f"but the dataset's are {widths[0]} and {widths[1]}"
+        )
 
 
 def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, TrainLog]:
@@ -295,19 +299,20 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     measured error drops below ``max_error``, or (batch only) before an
     update whose weight gradients are all below ``max_gradient``;
     raises `TrainingDivergedError` if a weight or the error becomes
-    non-finite or an update pass overflows.  Incremental updates need
-    every layer implicit except a softmax output.
+    non-finite or an update pass overflows.  The dataset must pass
+    `check_dataset`, and incremental updates need every layer implicit
+    except a softmax output.
 
-    With batch updates, each error measurement warm-starts its activation
-    solves from the previous measurement's outputs (`forward_batch`'s
-    ``start``), which lie on either side of the new roots; a warm lane
-    takes at most 6 Newton steps, and the results depend on the start at
-    rounding level only.  Incremental passes move the parameters after
-    every pair, so they discard that trace and the measurement starts
-    cold.
+    The last measurement's trace is the only state carried between
+    iterations.  A batch update takes its gradients from it, and the
+    next measurement warm-starts its activation solves from its outputs
+    (`forward_batch`'s ``start``), which lie on either side of the new
+    roots; a warm lane takes at most 6 Newton steps, and the results
+    depend on the start at rounding level only.  An incremental pass
+    solves every pair cold and moves the parameters after every pair, so
+    the measurement after it starts cold too.
     """
-    if (data.task == "classification") != (net.head == "classification"):
-        raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
+    check_dataset(net, data)
     if cfg.update == "incremental" and not set(net.activations) <= {"implicit", "softmax"}:
         raise ValueError(f"incremental updates need implicit layers, got {net.activations}")
     net = net.copy()
@@ -315,24 +320,26 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     adapt_p = cfg.alpha_p > 0 and any(pk is not None for pk in net.p_values)
     track_p = any(pk is not None for pk in net.p_values)
     labels = _p_labels(net) if track_p else None
-    update_pass = _UPDATE_PASSES[cfg.update]
+    batch = cfg.update == "batch"
 
     errors: list[float] = []
     p_rows: list[np.ndarray] = []
-    state: dict = {}
+    trace = None
     for it in range(cfg.max_iters):
         try:
-            if update_pass(net, X, Y, cfg, adapt_p, state):
-                break
+            if batch:
+                if _apply_batch_pass(net, X, Y, cfg, adapt_p, trace):
+                    break
+            else:
+                _apply_incremental_pass(net, X, Y, cfg, adapt_p)
         except OverflowError as exc:  # Python float arithmetic raises where numpy gives inf
             raise TrainingDivergedError(f"overflow in update pass {it + 1}") from exc
         if not all(np.all(np.isfinite(W)) for W in net.weights):
             raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-        trace = forward_batch(net, X, cfg.inner_iters, start=state.get("trace"))
+        trace = forward_batch(net, X, cfg.inner_iters, start=trace if batch else None)
         e = mse(trace.outputs[-1], Y)
         if not np.isfinite(e):
             raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")
-        state["trace"] = trace
         errors.append(e)
         if track_p:
             p_rows.append(_p_snapshot(net))

@@ -241,10 +241,9 @@ class TestProperties:
         assert_array_equal(v[::2], a[::2] / 3.0)
 
 
-def scalar_layer(a, p, lam, inner_iters=100, warm=None, with_dp=True):
-    """`_scalar_layer` on arrays, with cold (NaN) warm starts by default."""
-    warm = [np.nan] * len(a) if warm is None else warm
-    v, da, dp = _scalar_layer(list(map(float, a)), list(map(float, p)), lam, inner_iters, warm, with_dp)
+def scalar_layer(a, p, lam, inner_iters=100, with_dp=True):
+    """`_scalar_layer` on arrays."""
+    v, da, dp = _scalar_layer(list(map(float, a)), list(map(float, p)), lam, inner_iters, with_dp)
     return np.array(v), np.array(da), None if dp is None else np.array(dp)
 
 
@@ -322,39 +321,6 @@ class TestScalarLayerEdges:
         assert_allclose(v, evaluate_many(a, p, 1e-10), rtol=1e-12, atol=0)
         assert_allclose(da, dv_da_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
         assert_allclose(dp, dv_dp_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
-
-    def test_warm_row_overwritten_in_place(self):
-        rng = np.random.default_rng(26)
-        a, p, lam = random_params(rng, 8)
-        warm = [np.nan] * 8
-        v, _, _ = scalar_layer(a, p, lam, warm=warm)
-        assert warm == v.tolist()
-        v0, _, _ = scalar_layer(a, p, 0.0, warm=warm)
-        assert warm == a.tolist() == v0.tolist()
-
-    def test_unusable_warm_starts_are_discarded(self):
-        # NaN, infinite and below-root starts fall back to the cold bound, so
-        # even a one-step solve is bit-identical to the cold one.
-        rng = np.random.default_rng(27)
-        for _ in range(N_CASES):
-            a, p, lam = random_params(rng, 6)
-            root = evaluate_many(a, p, lam)
-            for steps in (1, 10):
-                cold, _, _ = scalar_layer(a, p, lam, steps)
-                for warm in ([np.nan] * 6, [np.inf] * 6, [-np.inf] * 6, (0.5 * root).tolist(), [0.0] * 6):
-                    got, _, _ = scalar_layer(a, p, lam, steps, warm=list(warm))
-                    assert_array_equal(got, cold)
-
-    def test_warm_start_above_root_is_used(self):
-        # Just above the root, one Newton step lands within rounding of it;
-        # the same single step from the cold bound does not.
-        a, p, lam = np.array([3.0, -3.0, 0.7]), np.array([5.0, 1.5, 30.0]), 1.0
-        root = evaluate_many(a, p, lam)
-        warm = (root * (1.0 + 1e-7)).tolist()
-        got, _, _ = scalar_layer(a, p, lam, 1, warm=warm)
-        cold, _, _ = scalar_layer(a, p, lam, 1)
-        assert_allclose(got, root, rtol=1e-12, atol=0)
-        assert np.all(np.abs(cold - root) > 1e-9 * np.abs(root))
 
 
 class TestThreshold:
@@ -507,17 +473,6 @@ class TestNewtonKernel:
             for v0 in (np.zeros(a.size), 0.5 * cold, -cold):
                 warm = evaluate_many(a, p, lam, inner_iters=10, v0=v0)
                 assert_allclose(warm, cold, rtol=1e-12, atol=0)
-
-    def test_scalar_warm_start_below_root(self):
-        # The plain-Python layer routine discards starts below the root (and
-        # NaN starts) and still reaches the cold solve's root.
-        rng = np.random.default_rng(28)
-        for _ in range(N_CASES):
-            a, p, lam = random_params(rng, 1)
-            cold = evaluate_many(a, p, lam)[0]
-            for v0 in (0.0, 0.5 * cold, np.nan):
-                got = scalar_layer(a, p, lam, 10, warm=[v0], with_dp=False)[0][0]
-                assert abs(got - cold) <= 1e-12 * max(1.0, abs(a[0]))
 
 
 class TestWarmStart:

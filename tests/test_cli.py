@@ -139,6 +139,27 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, cl
     assert not out.exists()
 
 
+# (experiment, --set items, keys the message must name).  A data kind or
+# head whose keys the experiment lacks once escaped as a bare KeyError (exit
+# 1, the "diverged" code); layer widths that do not fit the data failed in
+# numpy, or trained a pass on a broadcast error, after the data was written.
+@pytest.mark.parametrize("name, items, named", [
+    ("ex1", ["data=activity"], ["pool_per_class", "pool_seed", "train_per_class", "test_total"]),
+    ("ex2a", ["data=sign"], ["data_lo", "data_hi"]),
+    ("ex3", ["data=sign"], ["data_n", "data_lo", "data_hi"]),
+    ("ex3", ["head=regression"], ["grid_lo", "grid_hi", "grid_points"]),
+    ("ex1", ["layer_sizes=[2,3,1]", "data_n=8", "grid_points=11", "max_iterations=2"], ["layer_sizes"]),
+    ("ex1", ["layer_sizes=[1,5,3,2]", "data_n=8", "grid_points=11", "max_iterations=2"], ["layer_sizes"]),
+])
+def test_config_that_misfits_its_data_is_usage_error(tmp_path, capsys, name, items, named):
+    overrides = [arg for item in items for arg in ("--set", item)]
+    code = main(["experiment", name, "--out", str(tmp_path), "--repetitions", "1", *overrides])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in named), err
+    assert not os.path.exists(tmp_path / name)
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 @pytest.mark.parametrize("command", ["eval", "shape", "gradcheck"])
 def test_inner_iters_below_one_is_usage_error(tmp_path, capsys, command, iters):

@@ -91,6 +91,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             net.validate()
 
+    def test_regression_softmax_output_rejected(self, tmp_path):
+        # backprop_batch would apply the softmax delta to a squared-error loss.
+        with pytest.raises(ValueError, match="exactly when the head is classification"):
+            nguyen_widrow_init([2, 3, 2], "regression", seed=1, hidden_kind="tansig", output_kind="softmax")
+        path = tmp_path / "model.txt"
+        save_network(init_network([2, 3, 2], "classification", lam=1.0, initial_p=2.0, seed=0), str(path))
+        path.write_text(path.read_text(encoding="utf-8").replace("head classification", "head regression"),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="exactly when the head is classification"):
+            load_network(str(path))
+
     def test_copy_is_deep(self):
         net = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=0)
         dup = net.copy()

@@ -276,6 +276,15 @@ class TestTrainBatch:
         with pytest.raises(ValueError):
             train(net, toy_regression(), TrainConfig(0.1, 0.0, 5, 1e-3))
 
+    @pytest.mark.parametrize("update", UPDATE_MODES)
+    @pytest.mark.parametrize("sizes", [[2, 4, 1], [1, 4, 2]])
+    def test_width_mismatch_rejected_before_training(self, update, sizes):
+        # The per-pair pass once broadcast a 2-wide output against 1-wide
+        # targets and trained a full pass before any error was measured.
+        net = init_network(sizes, "regression", lam=1.0, initial_p=2.0, seed=0)
+        with pytest.raises(ValueError, match="layer_sizes"):
+            train(net, toy_regression(), TrainConfig(0.1, 0.0, 5, 1e-3, update=update))
+
     def test_p_labels_and_history_shape(self):
         net = init_network([1, 4, 2], "regression", lam=1.0, initial_p=2.0, seed=11)
         cfg = TrainConfig(alpha_w=0.01, alpha_p=1.0, max_iters=4, max_error=1e-300)
@@ -309,11 +318,11 @@ class TestWarmStartedBatch:
         net, data = self._net_and_data()
         trained, log = train(net, data, self.CFG)
         # The same updates with every evaluation solved cold.
-        ref, state, errors = net.copy(), {}, []
+        ref, trace, errors = net.copy(), None, []
         for _ in range(self.CFG.max_iters):
-            _apply_batch_pass(ref, data.inputs, data.targets, self.CFG, True, state)
-            state["trace"] = forward_batch(ref, data.inputs, self.CFG.inner_iters)
-            errors.append(mse(state["trace"].outputs[-1], data.targets))
+            _apply_batch_pass(ref, data.inputs, data.targets, self.CFG, True, trace)
+            trace = forward_batch(ref, data.inputs, self.CFG.inner_iters)
+            errors.append(mse(trace.outputs[-1], data.targets))
         assert_allclose(log.errors, errors, rtol=1e-12, atol=0)
         for got, want in zip(trained.weights + trained.p_values[:-1], ref.weights + ref.p_values[:-1]):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -410,6 +419,21 @@ class TestTrainIncremental:
         assert_array_equal(l1.errors, l2.errors)
         for Wa, Wb in zip(t1.weights, t2.weights):
             assert_array_equal(Wa, Wb)
+
+    def test_training_resumes_bit_identically(self):
+        # Passes carry nothing between them, so 4 iterations equal 2 followed
+        # by 2 more from the result.  The ex2a net: 1-10-5-3-1, lam 1e-10.
+        net = init_network([1, 10, 5, 3, 1], "regression", lam=1e-10, initial_p=100.0, seed=1,
+                           initial_p_output=2.0)
+        data = gen_square(100, seed=1)
+        whole, log = train(net, data, TrainConfig(0.01, 1e4, 4, 1e-300, inner_iters=10, update="incremental"))
+        half = TrainConfig(0.01, 1e4, 2, 1e-300, inner_iters=10, update="incremental")
+        first, log1 = train(net, data, half)
+        second, log2 = train(first, data, half)
+        assert log.errors.tobytes() == np.concatenate([log1.errors, log2.errors]).tobytes()
+        assert log.p_history.tobytes() == np.concatenate([log1.p_history, log2.p_history]).tobytes()
+        for got, want in zip(second.weights + second.p_values, whole.weights + whole.p_values):
+            assert got.tobytes() == want.tobytes()
 
     def test_frozen_p_is_bit_identical(self):
         net = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.5, seed=16)
