@@ -6,12 +6,13 @@ taken from the ``PNET_OUT`` environment variable (falling back to
 ``./pnet_out``).
 
 Experiment configs and ``pnet train`` configs are flat key-value
-dictionaries; any experiment key can be overridden on the command line
-with ``--set key=value`` (values parsed as JSON, so lists and numbers
-work).  `_KEY_TYPES` holds each key's JSON type, and every merged config
-is checked against it before anything is built or written: an unknown
-key or a value of the wrong type (a JSON boolean included) is a usage
-error that names the key.
+dictionaries holding only keys that their code reads; any experiment key
+can be overridden on the command line with ``--set key=value`` (values
+parsed as JSON, so lists and numbers work).  `_KEY_TYPES` holds each
+key's JSON type, and every merged config is checked against it before
+anything is built or written: an unknown key or a value of the wrong type
+(a JSON boolean included) is a usage error that names the key.  The
+network head is the dataset's task, never a key.
 """
 
 from __future__ import annotations
@@ -25,17 +26,8 @@ import numpy as np
 
 from . import __version__
 from .activation import dv_da_many, evaluate_many
-from .data import (
-    Dataset,
-    gen_abs,
-    gen_activity_standin,
-    gen_sign,
-    gen_square,
-    load_csv,
-    save_csv,
-    split_train_test,
-)
-from .network import HEADS, fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
+from .data import FITS, Dataset, gen_activity_standin, gen_fit, load_csv, save_csv, split_train_test
+from .network import fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from .oracle import check_network_gradients, random_check_case
 from .training import (
     TrainConfig,
@@ -56,15 +48,17 @@ def default_out_dir() -> str:
     return os.environ.get("PNET_OUT", "pnet_out")
 
 
-# Experiment defaults.  Keys mirror the configuration tables one-to-one;
-# any of them can be overridden with --set.  The baseline variant has no
-# keys of its own: it takes `nguyen_widrow_init`'s kinds for the head
-# (satlins/purelin or tansig/softmax) and stops at BASELINE_MAX_GRADIENT.
+# Experiment defaults.  Keys mirror the configuration tables one-to-one,
+# every key is read, and any of them can be overridden with --set.  The
+# head is the data's task, so it has no key, and a fit is predicted on a
+# grid of `grid_points` spanning data_lo..data_hi.  The baseline variant
+# has no keys of its own: it takes `nguyen_widrow_init`'s kinds for the
+# head (satlins/purelin or tansig/softmax) and stops at BASELINE_MAX_GRADIENT.
 EXPERIMENTS: dict[str, dict] = {
     # Sign fit: adaptive p only, starting from the explicit p=2 regime.
+    # `data` may switch to any of FITS, since the fits read the same keys.
     "ex1": {
         "layer_sizes": [1, 5, 3, 1],
-        "head": "regression",
         "lambda": 1.0,
         "initial_p_hidden": 2.0,
         "initial_p_output": 2.0,
@@ -78,15 +72,12 @@ EXPERIMENTS: dict[str, dict] = {
         "data_n": 100,
         "data_lo": -5.0,
         "data_hi": 5.0,
-        "grid_lo": -5.0,
-        "grid_hi": 5.0,
         "grid_points": 201,
         "variants": ["adaptive"],
     },
     # Parabola fit: frozen vs adaptive p-network vs fixed-activation baseline.
     "ex2a": {
         "layer_sizes": [1, 10, 5, 3, 1],
-        "head": "regression",
         "lambda": 1e-10,
         "initial_p_hidden": 100.0,
         "initial_p_output": 2.0,
@@ -98,17 +89,17 @@ EXPERIMENTS: dict[str, dict] = {
         "update": "incremental",
         "data": "square",
         "data_n": 100,
-        "grid_lo": -1.0,
-        "grid_hi": 1.0,
+        "data_lo": -1.0,
+        "data_hi": 1.0,
         "grid_points": 201,
         "variants": ["frozen", "adaptive", "baseline"],
     },
     # As ex2a but fitting y = |x|.
     "ex2b": None,  # filled in below
-    # Five-class activity classification on the synthetic stand-in pool.
+    # Five-class activity classification on the synthetic stand-in pool;
+    # `data` stays activity, whose keys no fit reads.
     "ex3": {
         "layer_sizes": [60, 30, 15, 5],
-        "head": "classification",
         "lambda": 1.0,
         "initial_p_hidden": 5.0,
         "initial_p_output": None,
@@ -128,24 +119,12 @@ EXPERIMENTS: dict[str, dict] = {
 }
 EXPERIMENTS["ex2b"] = {**EXPERIMENTS["ex2a"], "data": "abs"}
 
-_TRUE_FUNCTIONS = {"sign": np.sign, "square": np.square, "abs": np.abs}
-# The experiment keys each data kind and each head reads.  A --set that
-# switches to a kind or head whose keys the experiment lacks is a usage error.
-_NEEDED_KEYS = {
-    "activity": ("pool_per_class", "pool_seed", "train_per_class", "test_total"),
-    "sign": ("data_n", "data_lo", "data_hi"),
-    "square": ("data_n",),
-    "abs": ("data_n",),
-    "regression": ("grid_lo", "grid_hi", "grid_points"),
-    "classification": (),
-}
 VARIANTS = ("frozen", "adaptive", "baseline")
 BASELINE_MAX_GRADIENT = 1e-4
 
 # The training keys every `EXPERIMENTS` entry has, plus the init seed.
 _TRAIN_CONFIG_DEFAULTS = {
     "layer_sizes": None,  # required
-    "head": None,  # required
     "lambda": 1.0,
     "initial_p_hidden": 2.0,
     "initial_p_output": None,
@@ -172,12 +151,11 @@ _KEY_TYPES = {
     **dict.fromkeys(["max_iterations", "activation_iterations", "seed", "data_n", "grid_points",
                      "pool_per_class", "pool_seed", "train_per_class", "test_total"], _INT),
     **dict.fromkeys(["lambda", "initial_p_hidden", "alpha_w", "alpha_p", "max_error",
-                     "data_lo", "data_hi", "grid_lo", "grid_hi"], _NUMBER),
+                     "data_lo", "data_hi"], _NUMBER),
     "initial_p_output": ("a number or null", lambda v: v is None or _NUMBER[1](v)),
     "layer_sizes": ("a non-empty list of integers", lambda v: type(v) is list and v and all(map(_INT[1], v))),
-    "head": _one_of(HEADS),
     "update": _one_of(UPDATE_MODES),
-    "data": _one_of((*_TRUE_FUNCTIONS, "activity")),
+    "data": _one_of((*FITS, "activity")),
     "variants": (f"a non-empty list of distinct names from {', '.join(VARIANTS)}",
                  lambda v: type(v) is list and v and all(x in VARIANTS for x in v) and len(set(v)) == len(v)),
 }
@@ -221,30 +199,26 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 def _make_datasets(cfg: dict, seeds: list[int]):
     """Per-seed (train, test) datasets; test is None for the regression fits."""
-    kind = cfg["data"]
-    if kind == "activity":
+    if cfg["data"] == "activity":
         pool = gen_activity_standin(cfg["pool_per_class"], cfg["pool_seed"])
         return {s: split_train_test(pool, cfg["train_per_class"], cfg["test_total"], seed=s) for s in seeds}
-    if kind == "sign":
-        return {s: (gen_sign(cfg["data_n"], cfg["data_lo"], cfg["data_hi"], seed=s), None) for s in seeds}
-    if kind == "square":
-        return {s: (gen_square(cfg["data_n"], seed=s), None) for s in seeds}
-    return {s: (gen_abs(cfg["data_n"], seed=s), None) for s in seeds}
+    return {s: (gen_fit(cfg["data"], cfg["data_n"], cfg["data_lo"], cfg["data_hi"], seed=s), None) for s in seeds}
 
 
-def _build_variant(cfg: dict, variant: str, seed: int):
+def _build_variant(cfg: dict, variant: str, seed: int, head: str):
     """The untrained net and `TrainConfig` of one variant; baselines always take full-batch steps.
 
     The one translator from the CLI's config keys to network init and
     `TrainConfig`, which keeps its own field names for library callers.
+    ``head`` is the task of the data the net will train on.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {variant!r}")
     if variant == "baseline":
-        net = nguyen_widrow_init(cfg["layer_sizes"], cfg["head"], seed=seed)
+        net = nguyen_widrow_init(cfg["layer_sizes"], head, seed=seed)
         alpha_p, update, max_gradient = 0.0, "batch", BASELINE_MAX_GRADIENT
     else:
-        net = init_network(cfg["layer_sizes"], cfg["head"], cfg["lambda"], cfg["initial_p_hidden"],
+        net = init_network(cfg["layer_sizes"], head, cfg["lambda"], cfg["initial_p_hidden"],
                            seed=seed, initial_p_output=cfg["initial_p_output"])
         alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
         update, max_gradient = cfg["update"], 0.0
@@ -256,14 +230,14 @@ def _build_variant(cfg: dict, variant: str, seed: int):
 
 def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
     """Train one variant on ``data``; returns `train`'s (net, log)."""
-    net, tc = _build_variant(cfg, variant, seed)
+    net, tc = _build_variant(cfg, variant, seed, data.task)
     return train(net, data, tc)
 
 
 def _final_errors(cfg: dict, net, train_data: Dataset, test_data: Dataset | None, grid=None):
     """(train_error, test_error) recomputed from the trained network."""
     inner = cfg["activation_iterations"]
-    if cfg["head"] == "classification":
+    if grid is None:
         e_train = classification_error(net, train_data, inner)
         e_test = classification_error(net, test_data, inner)
         return e_train, e_test, None
@@ -289,18 +263,22 @@ def run_experiment(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     cfg = _parse_overrides(overrides, EXPERIMENTS[name])
-    missing = [key for key in _NEEDED_KEYS[cfg["data"]] + _NEEDED_KEYS[cfg["head"]] if key not in cfg]
-    if missing:
-        raise ValueError(f"{name} with data {cfg['data']} and head {cfg['head']} needs config key(s) "
-                         f"{', '.join(missing)}, which {name} does not have")
+    # The fits all read one key set and activity reads another, so `data` stays in its canned family.
+    family = tuple(FITS) if EXPERIMENTS[name]["data"] in FITS else ("activity",)
+    if cfg["data"] not in family:
+        raise ValueError(f"config key 'data' of {name} must be one of {', '.join(family)}, got {json.dumps(cfg['data'])}")
+    grid = None
+    if cfg["data"] in FITS:
+        if cfg["grid_points"] < 2:
+            raise ValueError(f"config key 'grid_points' must be >= 2, got {cfg['grid_points']}")
+        if not cfg["data_lo"] < cfg["data_hi"]:
+            raise ValueError(f"config key 'data_lo' must be below 'data_hi', got {cfg['data_lo']} and {cfg['data_hi']}")
+        x = np.linspace(cfg["data_lo"], cfg["data_hi"], cfg["grid_points"])[:, None]
+        grid = (x, FITS[cfg["data"]](x))
     seeds = [seed + i for i in range(repetitions)]
     datasets = _make_datasets(cfg, seeds)
-    grid = None
-    if cfg["head"] == "regression":
-        x = np.linspace(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_points"])[:, None]
-        grid = (x, _TRUE_FUNCTIONS[cfg["data"]](x))
     # Every dataset, net and TrainConfig is built, so every key checked, before anything is written.
-    runs = {(v, s): _build_variant(cfg, v, s) for v in cfg["variants"] for s in seeds}
+    runs = {(v, s): _build_variant(cfg, v, s, datasets[s][0].task) for v in cfg["variants"] for s in seeds}
     for (_, s), (net, _) in runs.items():
         check_dataset(net, datasets[s][0])
     exp_dir = os.path.join(out_dir if out_dir is not None else default_out_dir(), name)
@@ -445,6 +423,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net = load_network(args.model)
     data = load_csv(args.data)
+    check_dataset(net, data)
     yhat = forward_batch(net, data.inputs, args.inner_iters).outputs[-1]
     print(f"mse {_g(mse(yhat, data.targets))}")
     if data.task == "classification":

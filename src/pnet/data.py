@@ -13,7 +13,9 @@ import numpy as np
 
 __all__ = [
     "TASKS",
+    "FITS",
     "Dataset",
+    "gen_fit",
     "gen_sign",
     "gen_square",
     "gen_abs",
@@ -75,31 +77,34 @@ class Dataset:
         return np.argmax(self.targets, axis=1)
 
 
-def gen_sign(n: int, lo: float = -5.0, hi: float = 5.0, seed: int = 0) -> Dataset:
-    """y = sign(x) on n points drawn uniformly from [lo, hi]."""
+# The regression fits, by data kind: each target is this function of the input.
+FITS = {"sign": np.sign, "square": np.square, "abs": np.abs}
+
+
+def gen_fit(kind: str, n: int, lo: float, hi: float, seed: int = 0) -> Dataset:
+    """y = FITS[kind](x) on n points drawn uniformly from [lo, hi]."""
+    if kind not in FITS:
+        raise ValueError(f"fit kind must be one of {', '.join(FITS)}, got {kind!r}")
     if n < 1 or not lo < hi:
         raise ValueError(f"need n >= 1 and lo < hi, got n={n}, [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, size=(n, 1))
-    return Dataset(inputs=x, targets=np.sign(x), task="regression")
+    return Dataset(inputs=x, targets=FITS[kind](x), task="regression")
+
+
+def gen_sign(n: int, lo: float = -5.0, hi: float = 5.0, seed: int = 0) -> Dataset:
+    """y = sign(x) on n points drawn uniformly from [lo, hi]."""
+    return gen_fit("sign", n, lo, hi, seed)
 
 
 def gen_square(n: int, seed: int = 0) -> Dataset:
     """y = x^2 on n points drawn uniformly from [-1, 1]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=(n, 1))
-    return Dataset(inputs=x, targets=x * x, task="regression")
+    return gen_fit("square", n, -1.0, 1.0, seed)
 
 
 def gen_abs(n: int, seed: int = 0) -> Dataset:
     """y = |x| on n points drawn uniformly from [-1, 1]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=(n, 1))
-    return Dataset(inputs=x, targets=np.abs(x), task="regression")
+    return gen_fit("abs", n, -1.0, 1.0, seed)
 
 
 def gen_activity_standin(per_class: int = 1000, seed: int = 977, n_classes: int = 5, dim: int = 60) -> Dataset:

@@ -22,6 +22,7 @@ from .activation import (
     dv_da_many,
     dv_dp_many,
     fixed_deriv,
+    softmax,
 )
 from .data import Dataset
 from .network import ForwardTrace, PNetwork, forward_batch
@@ -243,8 +244,7 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
             W = net.weights[k]
             a = W[:, 1:] @ v + W[:, 0]
             if k == n_implicit:
-                z = np.exp(a - a.max())
-                v = z / z.sum()
+                v = softmax(a)
             else:
                 vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], lam, inner, adapt_p)
                 v = np.array(vl)

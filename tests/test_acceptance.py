@@ -168,7 +168,7 @@ def test_criterion_07_absolute_value_trend():
 def test_criterion_08_sign_fit_quality():
     cfg = EXPERIMENTS["ex1"]
     datasets = _make_datasets(cfg, [1, 2, 3, 4, 5])
-    grid = np.linspace(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_points"])[:, None]
+    grid = np.linspace(cfg["data_lo"], cfg["data_hi"], cfg["grid_points"])[:, None]
     outer = np.abs(grid[:, 0]) > 1.0
     passing = 0
     fractions = []

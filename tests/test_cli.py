@@ -21,9 +21,17 @@ from pnet.cli import (
     run_experiment,
     run_shape,
 )
-from pnet.data import gen_square, save_csv
+from pnet.data import Dataset, gen_activity_standin, gen_square, load_csv, save_csv
 from pnet.network import forward_batch, init_network, load_network, save_network
 from pnet.training import mse
+
+
+def two_target_rows(task):
+    """A small 1-input, 2-target dataset of the given task."""
+    if task == "classification":
+        return gen_activity_standin(per_class=3, seed=5, n_classes=2, dim=1)
+    data = gen_square(6, seed=5)
+    return Dataset(data.inputs, np.hstack([data.targets, data.targets]), "regression")
 
 
 def read_csv(path):
@@ -77,10 +85,14 @@ class TestOverrides:
 
     @pytest.mark.parametrize("name, key", [("ex1", "initial_w"), ("ex2a", "baseline_initial_w"),
                                            ("ex3", "initial_w"), ("ex3", "baseline_initial_w"),
-                                           ("ex2a", "baseline_max_gradient"), ("ex3", "baseline_hidden")])
+                                           ("ex2a", "baseline_max_gradient"), ("ex3", "baseline_hidden"),
+                                           ("ex1", "head"), ("ex3", "head"), ("ex1", "grid_lo"),
+                                           ("ex2a", "grid_hi"), ("ex3", "data_n")])
     def test_unread_keys_are_usage_errors(self, tmp_path, capsys, name, key):
-        # No code reads a weight-init scheme, and the baseline's kinds and
-        # gradient stop are fixed, so no config offers them.
+        # No code reads a weight-init scheme, the baseline's kinds and
+        # gradient stop are fixed, the head is the data's task, a fit's grid
+        # spans its data range, and ex3's activity data has no sample count,
+        # so no config offers these keys.
         code = main(["experiment", name, "--out", str(tmp_path), "--repetitions", "1",
                      "--set", f'{key}="uniform"'])
         assert code == 2
@@ -101,8 +113,7 @@ BAD_CONFIG_VALUES = [
     ("max_iterations", "true", False),
     ("layer_sizes", "[1, true, 1]", False),
     ("layer_sizes", "null", False),
-    ("head", "null", False),
-    ("grid_lo", "true", False),
+    ("data_lo", "true", False),
     ("variants", '["adaptve"]', False),
     ("variants", "adaptive", False),  # not JSON, so --set reads the bare string
     ("variants", "[]", False),
@@ -126,9 +137,14 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, cl
         name = "ex3" if classification else "ex1"
         code = main(["experiment", name, "--out", str(out), "--repetitions", "1", "--set", f"{key}={raw}"])
     else:
+        # The head follows the CSV's task column, so a classification case trains on one-hot rows.
         data_path = str(tmp_path / "train.csv")
-        save_csv(gen_square(10, seed=3), data_path)
-        cfg = {"layer_sizes": [1, 3, 1], "head": "classification" if classification else "regression"}
+        if classification:
+            save_csv(gen_activity_standin(per_class=3, seed=3, n_classes=2, dim=1), data_path)
+            cfg = {"layer_sizes": [1, 3, 2]}
+        else:
+            save_csv(gen_square(10, seed=3), data_path)
+            cfg = {"layer_sizes": [1, 3, 1]}
         cfg[key] = json.loads(raw)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -139,17 +155,20 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, cl
     assert not out.exists()
 
 
-# (experiment, --set items, keys the message must name).  A data kind or
-# head whose keys the experiment lacks once escaped as a bare KeyError (exit
-# 1, the "diverged" code); layer widths that do not fit the data failed in
-# numpy, or trained a pass on a broadcast error, after the data was written.
+# (experiment, --set items, what the message must name).  A data kind whose
+# keys the experiment lacks once escaped as a bare KeyError (exit 1, the
+# "diverged" code); layer widths that do not fit the data failed in numpy, or
+# trained a pass on a broadcast error, after the data was written; a grid of
+# fewer than two points wrote test_error=nan and exited 0.
 @pytest.mark.parametrize("name, items, named", [
-    ("ex1", ["data=activity"], ["pool_per_class", "pool_seed", "train_per_class", "test_total"]),
-    ("ex2a", ["data=sign"], ["data_lo", "data_hi"]),
-    ("ex3", ["data=sign"], ["data_n", "data_lo", "data_hi"]),
-    ("ex3", ["head=regression"], ["grid_lo", "grid_hi", "grid_points"]),
+    ("ex1", ["data=activity"], ["'data'", "activity"]),
+    ("ex2a", ["grid_points=1", "max_iterations=1", "data_n=4"], ["grid_points"]),
+    ("ex3", ["data=sign"], ["'data'", "sign"]),
+    ("ex3", ["layer_sizes=[60,30,15,4]", "pool_per_class=12", "train_per_class=4", "test_total=5"], ["layer_sizes"]),
     ("ex1", ["layer_sizes=[2,3,1]", "data_n=8", "grid_points=11", "max_iterations=2"], ["layer_sizes"]),
     ("ex1", ["layer_sizes=[1,5,3,2]", "data_n=8", "grid_points=11", "max_iterations=2"], ["layer_sizes"]),
+    ("ex1", ["grid_points=0", "max_iterations=1", "data_n=4"], ["grid_points"]),
+    ("ex2b", ["data_lo=1", "data_hi=-1", "max_iterations=1", "data_n=4"], ["'data_lo'", "'data_hi'"]),
 ])
 def test_config_that_misfits_its_data_is_usage_error(tmp_path, capsys, name, items, named):
     overrides = [arg for item in items for arg in ("--set", item)]
@@ -239,7 +258,6 @@ class TestTrainEvalCommands:
         save_csv(gen_square(30, seed=3), data_path)
         cfg = {
             "layer_sizes": [1, 4, 1],
-            "head": "regression",
             "lambda": 1.0,
             "initial_p_hidden": 2.0,
             "alpha_w": 0.1,
@@ -304,12 +322,39 @@ class TestTrainEvalCommands:
         assert main(["train", "--config", cfg_path, "--data", data_path,
                      "--model", str(tmp_path / "m.txt")]) == 2
 
-    def test_missing_required_key_is_usage_error(self, tmp_path):
+    def test_missing_required_key_is_usage_error(self, tmp_path, capsys):
         cfg_path, data_path = self.write_inputs(tmp_path)
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            json.dump({"head": "regression"}, fh)
+            json.dump({"lambda": 1.0}, fh)
         assert main(["train", "--config", cfg_path, "--data", data_path,
                      "--model", str(tmp_path / "m.txt")]) == 2
+        assert "'layer_sizes' must be" in capsys.readouterr().err
+
+    def test_head_follows_the_csv_task(self, tmp_path, capsys):
+        # One config trains a softmax classifier on one-hot rows and a
+        # regression net on real targets; no key names the head.
+        data_path, model_path, cfg_path = (str(tmp_path / name) for name in ("d.csv", "m.txt", "c.json"))
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"layer_sizes": [1, 3, 2], "max_iterations": 2}, fh)
+        save_csv(gen_activity_standin(per_class=4, seed=3, n_classes=2, dim=1), data_path)
+        assert main(["train", "--config", cfg_path, "--data", data_path, "--model", model_path]) == 0
+        net = load_network(model_path)
+        assert net.head == "classification" and net.activations[-1] == "softmax"
+        assert main(["eval", "--model", model_path, "--data", data_path]) == 0
+        assert "classification_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    def test_eval_on_data_of_the_other_task_is_usage_error(self, tmp_path, capsys, head):
+        # A softmax model on regression rows once printed an mse, and a
+        # regression model on one-hot rows a classification_error, exit 0.
+        model_path, data_path = str(tmp_path / "model.txt"), str(tmp_path / "data.csv")
+        save_network(init_network([1, 3, 2], head, 1.0, 2.0, seed=0), model_path)
+        other = "classification" if head == "regression" else "regression"
+        save_csv(two_target_rows(other), data_path)
+        assert main(["eval", "--model", model_path, "--data", data_path]) == 2
+        captured = capsys.readouterr()
+        assert f"dataset task {other!r} does not match network head {head!r}" in captured.err
+        assert captured.out == ""
 
     def test_missing_files_are_usage_errors(self, tmp_path):
         cfg_path, data_path = self.write_inputs(tmp_path)
@@ -442,10 +487,52 @@ class TestRunExperiment:
             assert set(_TRAIN_CONFIG_DEFAULTS) - {"seed"} <= set(cfg), name
             # Every canned value passes its own type check.
             assert _merge_config(cfg, {}) == cfg, name
-        required = {"layer_sizes": [1, 1], "head": "regression"}  # the defaults leave these None
+        required = {"layer_sizes": [1, 1]}  # the defaults leave it None
         assert _merge_config(_TRAIN_CONFIG_DEFAULTS, required) == {**_TRAIN_CONFIG_DEFAULTS, **required}
         # The type table covers exactly the keys the configs use.
         assert set(_KEY_TYPES) == set(_TRAIN_CONFIG_DEFAULTS).union(*EXPERIMENTS.values())
+
+    def test_every_canned_key_is_read(self, tmp_path, capsys, monkeypatch):
+        # Record each key `run_experiment` looks up in the merged config.
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        merge = _merge_config
+        monkeypatch.setattr("pnet.cli._merge_config", lambda cfg, updates: Recording(merge(cfg, updates)))
+        small = {"ex3": ["pool_per_class=12", "train_per_class=4", "test_total=5"]}
+        for name, cfg in EXPERIMENTS.items():
+            read.clear()
+            overrides = ["max_iterations=1"] + small.get(name, ["data_n=4", "grid_points=3"])
+            run_experiment(name, out_dir=str(tmp_path), repetitions=1, overrides=overrides)
+            assert read == set(cfg), (name, sorted(set(cfg) - read))
+        capsys.readouterr()
+
+    def test_fit_switch_reads_the_range_and_grids_it(self, tmp_path, capsys):
+        # ex1 switched to the parabola draws from and predicts over its own
+        # data_lo..data_hi; the parent drew from [-1, 1] and gridded [-5, 5].
+        res = run_experiment("ex1", out_dir=str(tmp_path), repetitions=1,
+                             overrides=["data=square", "data_lo=-2", "data_hi=2", "data_n=40",
+                                        "grid_points=9", "max_iterations=1"])
+        capsys.readouterr()
+        data = load_csv(os.path.join(res["dir"], "data", "train_seed1.csv"))
+        assert np.abs(data.inputs).max() > 1.0 and np.abs(data.inputs).max() <= 2.0
+        assert_array_equal(data.targets, data.inputs**2)
+        _, rows = read_csv(os.path.join(res["dir"], "predictions.csv"))
+        x = np.array([float(r[2]) for r in rows])
+        assert_array_equal(x, np.linspace(-2.0, 2.0, 9))
+        assert_array_equal([float(r[3]) for r in rows], x**2)
+
+    def test_switch_between_fits_runs(self, tmp_path, capsys):
+        res = run_experiment("ex2a", out_dir=str(tmp_path), repetitions=1,
+                             overrides=["data=sign", "data_n=8", "grid_points=5", "max_iterations=2"])
+        capsys.readouterr()
+        assert [r["variant"] for r in res["results"]] == ["frozen", "adaptive", "baseline"]
+        data = load_csv(os.path.join(res["dir"], "data", "train_seed1.csv"))
+        assert_array_equal(data.targets, np.sign(data.inputs))
 
     def test_unknown_variant_is_rejected(self):
         with pytest.raises(ValueError, match="variant must be one of frozen, adaptive, baseline"):

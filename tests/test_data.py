@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from pnet.data import (
+    FITS,
     Dataset,
+    gen_fit,
     gen_abs,
     gen_activity_standin,
     gen_sign,
@@ -76,6 +78,18 @@ class TestGenerators:
         d = gen_sign(50, lo=-2.0, hi=2.0, seed=4)
         assert np.all((d.inputs >= -2.0) & (d.inputs <= 2.0))
 
+    def test_wrappers_are_gen_fit(self):
+        # The named generators are gen_fit at their default ranges, and the
+        # parabola's np.square targets equal the old x * x bit for bit.
+        for seed in range(N_CASES):
+            assert_array_equal(gen_sign(7, seed=seed).inputs, gen_fit("sign", 7, -5.0, 5.0, seed).inputs)
+            for kind, gen in (("square", gen_square), ("abs", gen_abs)):
+                d = gen(7, seed=seed)
+                assert_array_equal(d.inputs, gen_fit(kind, 7, -1.0, 1.0, seed).inputs)
+                assert_array_equal(d.targets, FITS[kind](d.inputs))
+            x = gen_square(7, seed=seed).inputs
+            assert_array_equal(gen_square(7, seed=seed).targets, x * x)
+
     def test_seeded_determinism(self):
         for seed in range(N_CASES):
             a = gen_square(5, seed=seed)
@@ -90,6 +104,10 @@ class TestGenerators:
             gen_sign(5, lo=1.0, hi=-1.0)
         with pytest.raises(ValueError):
             gen_square(0)
+        with pytest.raises(ValueError):
+            gen_fit("abs", 5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="fit kind"):
+            gen_fit("cube", 5, -1.0, 1.0)
 
 
 class TestActivityStandin:
