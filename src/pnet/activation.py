@@ -36,9 +36,9 @@ two alone cost up to a dozen slow steps.
 A lane freezes once its relative step ``rho`` satisfies
 ``(n-1)*rho**2 <= eps`` (machine epsilon): by convexity the error left
 after that step is about ``(n-1)/2*rho**2`` relative, i.e. at rounding
-level.  Over ``p`` in [1.01, 1e4], ``|a|`` in [1e-8, 1e4] and ``lam`` in
-[1e-10, 10] every lane freezes within 5 steps and agrees with the exact
-root to `EXIT_TOL` relative.
+level.  Over ``p`` in [1.01, 1e4], ``|a|`` in [1e-300, 1e300] and ``lam``
+in [1e-10, 10] every lane freezes within 5 steps; for ``|a|`` in
+[1e-8, 1e4] it agrees with the exact root to `EXIT_TOL` relative.
 
 A warm start ``v0`` (a nearby earlier root, say) may lie on either side
 of the root; the lane starts at the smaller of ``|v0|`` (in ``y``) and
@@ -114,24 +114,20 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 @dataclass(frozen=True)
 class ActivationParams:
-    """Shape exponent ``p``, regularization weight ``lam``, iteration budget.
+    """Shape exponent ``p`` and regularization weight ``lam``.
 
     ``p`` must lie in ``[P_MIN, P_MAX]``; ``lam`` must be finite and
-    nonnegative; ``inner_iters`` is the Newton step budget of `evaluate`
-    (early exit allowed).
+    nonnegative.
     """
 
     p: float
     lam: float
-    inner_iters: int = 100
 
     def __post_init__(self) -> None:
         if not (P_MIN <= self.p <= P_MAX):
             raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -356,13 +352,13 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
 def evaluate(a, params: ActivationParams):
     """Activation output for input ``a`` (scalar or array).
 
-    Identity when ``lam == 0``; otherwise at most ``params.inner_iters``
-    monotone Newton steps per element from an upper bound of the root,
-    the first of which is the closed form when ``p == 2``.  A converged
-    element agrees with the exact root to `EXIT_TOL` relative; five steps
-    suffice over the ranges stated in the module docstring.
+    Identity when ``lam == 0``; otherwise monotone Newton steps per
+    element from an upper bound of the root until its stop rule fires,
+    the first step being the closed form when ``p == 2``.  An element
+    agrees with the exact root to `EXIT_TOL` relative after at most five
+    steps over the ranges stated in the module docstring.
     """
-    out = evaluate_many(a, params.p, params.lam, params.inner_iters)
+    out = evaluate_many(a, params.p, params.lam)
     return _scalar_or_array(np.asarray(out))
 
 

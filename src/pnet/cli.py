@@ -12,7 +12,8 @@ parsed as JSON, so lists and numbers work).  `_KEY_TYPES` holds each
 key's JSON type, and every merged config is checked against it before
 anything is built or written: an unknown key or a value of the wrong type
 (a JSON boolean included) is a usage error that names the key.  The
-network head is the dataset's task, never a key.
+network head is the dataset's task, never a key, and no key or flag sets
+a Newton step budget: each activation solve stops by its own rule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .activation import dv_da_many, evaluate_many
+from .activation import ActivationParams, dv_da_many, evaluate_many
 from .data import FITS, Dataset, gen_activity_standin, gen_fit, load_csv, save_csv, split_train_test
 from .network import fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from .oracle import check_network_gradients, random_check_case
@@ -66,7 +67,6 @@ EXPERIMENTS: dict[str, dict] = {
         "alpha_p": 100.0,
         "max_iterations": 1000,
         "max_error": 1e-3,
-        "activation_iterations": 100,
         "update": "incremental",
         "data": "sign",
         "data_n": 100,
@@ -85,7 +85,6 @@ EXPERIMENTS: dict[str, dict] = {
         "alpha_p": 1e4,
         "max_iterations": 1000,
         "max_error": 1e-4,
-        "activation_iterations": 10,
         "update": "incremental",
         "data": "square",
         "data_n": 100,
@@ -107,7 +106,6 @@ EXPERIMENTS: dict[str, dict] = {
         "alpha_p": 0.1,
         "max_iterations": 1000,
         "max_error": 1e-4,
-        "activation_iterations": 10,
         "update": "batch",
         "data": "activity",
         "pool_per_class": 1000,
@@ -132,7 +130,6 @@ _TRAIN_CONFIG_DEFAULTS = {
     "alpha_p": 0.0,
     "max_iterations": 1000,
     "max_error": 1e-4,
-    "activation_iterations": 100,
     "update": "batch",
     "seed": 0,
 }
@@ -148,7 +145,7 @@ def _one_of(choices: tuple) -> tuple:
 _INT = ("an integer", lambda v: type(v) is int)
 _NUMBER = ("a number", lambda v: type(v) in (int, float))
 _KEY_TYPES = {
-    **dict.fromkeys(["max_iterations", "activation_iterations", "seed", "data_n", "grid_points",
+    **dict.fromkeys(["max_iterations", "seed", "data_n", "grid_points",
                      "pool_per_class", "pool_seed", "train_per_class", "test_total"], _INT),
     **dict.fromkeys(["lambda", "initial_p_hidden", "alpha_w", "alpha_p", "max_error",
                      "data_lo", "data_hi"], _NUMBER),
@@ -224,7 +221,7 @@ def _build_variant(cfg: dict, variant: str, seed: int, head: str):
         update, max_gradient = cfg["update"], 0.0
     return net, TrainConfig(
         alpha_w=cfg["alpha_w"], alpha_p=alpha_p, max_iters=cfg["max_iterations"], max_error=cfg["max_error"],
-        inner_iters=cfg["activation_iterations"], update=update, max_gradient=max_gradient,
+        update=update, max_gradient=max_gradient,
     )
 
 
@@ -234,15 +231,12 @@ def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
     return train(net, data, tc)
 
 
-def _final_errors(cfg: dict, net, train_data: Dataset, test_data: Dataset | None, grid=None):
+def _final_errors(net, train_data: Dataset, test_data: Dataset | None, grid=None):
     """(train_error, test_error) recomputed from the trained network."""
-    inner = cfg["activation_iterations"]
     if grid is None:
-        e_train = classification_error(net, train_data, inner)
-        e_test = classification_error(net, test_data, inner)
-        return e_train, e_test, None
-    yhat_train = forward_batch(net, train_data.inputs, inner).outputs[-1]
-    yhat_grid = forward_batch(net, grid[0], inner).outputs[-1]
+        return classification_error(net, train_data), classification_error(net, test_data), None
+    yhat_train = forward_batch(net, train_data.inputs).outputs[-1]
+    yhat_grid = forward_batch(net, grid[0]).outputs[-1]
     return mse(yhat_train, train_data.targets), mse(yhat_grid, grid[1]), yhat_grid
 
 
@@ -298,7 +292,7 @@ def run_experiment(
     for (variant, s), (net, tc) in runs.items():
         train_data, test_data = datasets[s]
         net, log = train(net, train_data, tc)
-        e_train, e_test, yhat_grid = _final_errors(cfg, net, train_data, test_data, grid)
+        e_train, e_test, yhat_grid = _final_errors(net, train_data, test_data, grid)
         for it, e in enumerate(log.errors, start=1):
             error_rows.append([str(it), variant, str(s), _g(e)])
         if log.p_history is not None:
@@ -354,15 +348,16 @@ def run_experiment(
     return {"name": name, "dir": exp_dir, "results": results}
 
 
-def run_shape(p_list, lam: float, a_min: float, a_max: float, n_points: int, out_path: str, inner_iters: int = 100) -> None:
+def run_shape(p_list, lam: float, a_min: float, a_max: float, n_points: int, out_path: str) -> None:
     """Tabulate the activation and its input slope on a grid, per p."""
     if not a_min < a_max or n_points < 2:
         raise ValueError("need a_min < a_max and n_points >= 2")
     a = np.linspace(a_min, a_max, n_points)
     rows = []
-    for p in p_list:
-        v = evaluate_many(a, float(p), lam, inner_iters)
-        dv = dv_da_many(v, float(p), lam)
+    for p in map(float, p_list):
+        ActivationParams(p, lam)  # raises on a p or lam the activation does not define
+        v = evaluate_many(a, p, lam)
+        dv = dv_da_many(v, p, lam)
         rows.extend([_g(p), _g(ai), _g(vi), _g(di)] for ai, vi, di in zip(a, v, dv))
     _write_csv(out_path, ["p", "a", "v", "dv_da"], rows)
 
@@ -387,20 +382,19 @@ def cmd_shape(args) -> int:
     if out_path is None:
         os.makedirs(default_out_dir(), exist_ok=True)
         out_path = os.path.join(default_out_dir(), "shape.csv")
-    run_shape(args.p, args.lam, args.a_min, args.a_max, args.n_points, out_path, args.inner_iters)
+    run_shape(args.p, args.lam, args.a_min, args.a_max, args.n_points, out_path)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     sizes = _parse_layer_spec(args.layers)
     net = init_network(sizes, args.head, args.lam, args.initial_p, seed=args.seed)
     X, Y = random_check_case(sizes, args.head, seed=args.seed, n_samples=args.samples)
     batch = Dataset(inputs=X, targets=Y, task=args.head)
-    report = check_network_gradients(
-        net, batch, h=args.h, inner_iters=args.inner_iters,
-        corrupt=1.0 if args.inject_gradient_error else 0.0,
-    )
+    report = check_network_gradients(net, batch, h=args.h, corrupt=1.0 if args.inject_gradient_error else 0.0)
     print(report.summary(args.tol))
     return 0 if report.passed(args.tol) else 1
 
@@ -424,11 +418,10 @@ def cmd_eval(args) -> int:
     net = load_network(args.model)
     data = load_csv(args.data)
     check_dataset(net, data)
-    yhat = forward_batch(net, data.inputs, args.inner_iters).outputs[-1]
+    yhat = forward_batch(net, data.inputs).outputs[-1]
     print(f"mse {_g(mse(yhat, data.targets))}")
     if data.task == "classification":
-        err = classification_error(net, data, args.inner_iters)
-        print(f"classification_error {_g(err)}")
+        print(f"classification_error {_g(classification_error(net, data))}")
     return 0
 
 
@@ -454,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.add_argument("--a-min", type=float, default=-3.0)
     p_shape.add_argument("--a-max", type=float, default=3.0)
     p_shape.add_argument("--n-points", type=int, default=601)
-    p_shape.add_argument("--inner-iters", type=int, default=100)
     p_shape.add_argument("--out", default=None, help="output CSV path (default: <out dir>/shape.csv)")
     p_shape.set_defaults(func=cmd_shape)
 
@@ -467,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--samples", type=int, default=5)
     p_gc.add_argument("--h", type=float, default=None, help="finite-difference step (default: scaled 1e-6)")
     p_gc.add_argument("--tol", type=float, default=1e-3)
-    p_gc.add_argument("--inner-iters", type=int, default=200)
     p_gc.add_argument("--inject-gradient-error", action="store_true",
                       help="self-test hook: corrupt one gradient so the check must fail")
     p_gc.set_defaults(func=cmd_gradcheck)
@@ -482,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a saved model on a CSV dataset")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--inner-iters", type=int, default=100)
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

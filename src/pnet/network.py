@@ -59,9 +59,7 @@ class PNetwork:
     head: str
 
     def validate(self) -> None:
-        sizes = self.layer_sizes
-        if len(sizes) < 2 or any(int(r) != r or r < 1 for r in sizes):
-            raise ValueError(f"layer_sizes must be >= 2 positive integers, got {sizes}")
+        sizes = _whole_sizes(self.layer_sizes)
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
@@ -121,11 +119,18 @@ class ForwardTrace:
 
 
 def _whole_sizes(layer_sizes) -> list[int]:
-    """Layer sizes as ints; a non-integral or boolean size raises instead of truncating."""
+    """Layer sizes as ints, checked before any constructor indexes them.
+
+    A non-integral or boolean size raises instead of truncating; so do
+    fewer than two sizes and a size below 1.
+    """
     sizes = list(layer_sizes)
     if any(isinstance(r, (bool, np.bool_)) or int(r) != r for r in sizes):
         raise ValueError(f"layer_sizes must be whole numbers, got {sizes}")
-    return [int(r) for r in sizes]
+    sizes = [int(r) for r in sizes]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"layer_sizes must be >= 2 positive integers, got {sizes}")
+    return sizes
 
 
 def init_network(

@@ -235,6 +235,8 @@ def check_network_gradients(
     gradient before the comparison, so any nonzero value must make the
     check fail and prove the harness can detect a wrong gradient.
     """
+    if h is not None and not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     X = np.asarray(batch.inputs, dtype=float)
     Y = np.asarray(batch.targets, dtype=float)
     work = net.copy()

@@ -41,7 +41,7 @@ GRID_A = np.linspace(-10.0, 10.0, 41)
 def final_train_error(cfg: dict, variant: str, seed: int, data) -> float:
     """Train one experiment variant and re-measure its final whole-set error."""
     net, _ = _train_variant(cfg, variant, seed, data)
-    yhat = forward_batch(net, data.inputs, cfg["activation_iterations"]).outputs[-1]
+    yhat = forward_batch(net, data.inputs).outputs[-1]
     return mse(yhat, data.targets)
 
 
@@ -175,7 +175,7 @@ def test_criterion_08_sign_fit_quality():
     for s in (1, 2, 3, 4, 5):
         t0 = time.perf_counter()
         net, _ = _train_variant(cfg, "adaptive", s, datasets[s][0])
-        yhat = forward_batch(net, grid, cfg["activation_iterations"]).outputs[-1][:, 0]
+        yhat = forward_batch(net, grid).outputs[-1][:, 0]
         frac = float(np.mean(np.sign(yhat[outer]) == np.sign(grid[outer, 0])))
         fractions.append(frac)
         passing += frac >= 0.95
@@ -198,9 +198,7 @@ def test_criterion_09_classification_trend():
         for s in seeds:
             train_data, test_data = datasets[s]
             net, _ = _train_variant(cfg, variant, s, train_data)
-            errors[variant].append(
-                classification_error(net, test_data, cfg["activation_iterations"])
-            )
+            errors[variant].append(classification_error(net, test_data))
     elapsed = time.perf_counter() - t0
     mean_adaptive = float(np.mean(errors["adaptive"]))
     mean_frozen = float(np.mean(errors["frozen"]))

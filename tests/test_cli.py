@@ -87,12 +87,14 @@ class TestOverrides:
                                            ("ex3", "initial_w"), ("ex3", "baseline_initial_w"),
                                            ("ex2a", "baseline_max_gradient"), ("ex3", "baseline_hidden"),
                                            ("ex1", "head"), ("ex3", "head"), ("ex1", "grid_lo"),
-                                           ("ex2a", "grid_hi"), ("ex3", "data_n")])
+                                           ("ex2a", "grid_hi"), ("ex3", "data_n"),
+                                           ("ex2a", "activation_iterations")])
     def test_unread_keys_are_usage_errors(self, tmp_path, capsys, name, key):
         # No code reads a weight-init scheme, the baseline's kinds and
         # gradient stop are fixed, the head is the data's task, a fit's grid
-        # spans its data range, and ex3's activity data has no sample count,
-        # so no config offers these keys.
+        # spans its data range, ex3's activity data has no sample count, and
+        # each activation solve stops by its own rule, so no config offers
+        # these keys.
         code = main(["experiment", name, "--out", str(tmp_path), "--repetitions", "1",
                      "--set", f'{key}="uniform"'])
         assert code == 2
@@ -169,6 +171,8 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, cl
     ("ex1", ["layer_sizes=[1,5,3,2]", "data_n=8", "grid_points=11", "max_iterations=2"], ["layer_sizes"]),
     ("ex1", ["grid_points=0", "max_iterations=1", "data_n=4"], ["grid_points"]),
     ("ex2b", ["data_lo=1", "data_hi=-1", "max_iterations=1", "data_n=4"], ["'data_lo'", "'data_hi'"]),
+    ("ex1", ["layer_sizes=[1]", "max_iterations=2"], ["layer_sizes"]),
+    ("ex2a", ['variants=["baseline"]', "layer_sizes=[1,0,1]", "max_iterations=2"], ["layer_sizes"]),
 ])
 def test_config_that_misfits_its_data_is_usage_error(tmp_path, capsys, name, items, named):
     overrides = [arg for item in items for arg in ("--set", item)]
@@ -179,21 +183,19 @@ def test_config_that_misfits_its_data_is_usage_error(tmp_path, capsys, name, ite
     assert not os.path.exists(tmp_path / name)
 
 
-@pytest.mark.parametrize("iters", ["0", "-3"])
-@pytest.mark.parametrize("command", ["eval", "shape", "gradcheck"])
-def test_inner_iters_below_one_is_usage_error(tmp_path, capsys, command, iters):
+# `ActivationParams` rejects each (p, lambda) before `pnet shape` writes a table.
+@pytest.mark.parametrize("args, named", [
+    (["--lambda", "-1"], "lam"),
+    (["--lambda", "nan"], "lam"),
+    (["--lambda", "inf"], "lam"),
+    (["--p", "0.5"], "p"),
+    (["--p", "1.0"], "p"),
+    (["--p", "3", "20000"], "p"),
+])
+def test_shape_outside_the_activation_domain_is_usage_error(tmp_path, capsys, args, named):
     out = tmp_path / "shape.csv"
-    if command == "eval":
-        model_path, data_path = str(tmp_path / "model.txt"), str(tmp_path / "data.csv")
-        save_network(init_network([1, 3, 1], "regression", 1.0, 2.0, seed=0), model_path)
-        save_csv(gen_square(10, seed=3), data_path)
-        argv = ["eval", "--model", model_path, "--data", data_path]
-    elif command == "shape":
-        argv = ["shape", "--p", "5", "--out", str(out)]
-    else:
-        argv = ["gradcheck"]
-    assert main(argv + ["--inner-iters", iters]) == 2
-    assert "inner_iters must be >= 1" in capsys.readouterr().err
+    assert main(["shape", "--n-points", "3", "--out", str(out), *args]) == 2
+    assert f"{named} must" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -250,6 +252,14 @@ class TestGradcheckCommand:
 
     def test_bad_layer_spec_is_usage_error(self):
         assert main(["gradcheck", "--layers", "7"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--h", "--tol"])
+    @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+    def test_bad_step_or_tolerance_is_usage_error(self, capsys, flag, value):
+        assert main(["gradcheck", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag.lstrip('-')} must be finite and > 0" in captured.err
+        assert captured.out == ""
 
 
 class TestTrainEvalCommands:
@@ -316,11 +326,11 @@ class TestTrainEvalCommands:
         cfg_path, data_path = self.write_inputs(tmp_path)
         with open(cfg_path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        cfg["learning_rate"] = 0.1
-        with open(cfg_path, "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
-        assert main(["train", "--config", cfg_path, "--data", data_path,
-                     "--model", str(tmp_path / "m.txt")]) == 2
+        for key in ("learning_rate", "activation_iterations"):
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump({**cfg, key: 10}, fh)
+            assert main(["train", "--config", cfg_path, "--data", data_path,
+                         "--model", str(tmp_path / "m.txt")]) == 2
 
     def test_missing_required_key_is_usage_error(self, tmp_path, capsys):
         cfg_path, data_path = self.write_inputs(tmp_path)
@@ -362,7 +372,7 @@ class TestTrainEvalCommands:
                      "--data", data_path, "--model", str(tmp_path / "m.txt")]) == 2
         assert main(["eval", "--model", str(tmp_path / "nope.txt"), "--data", data_path]) == 2
 
-    @pytest.mark.parametrize("bad", [{"max_iterations": 2.5}, {"activation_iterations": 10.0},
+    @pytest.mark.parametrize("bad", [{"max_iterations": 2.5}, {"max_iterations": 25.0},
                                      {"layer_sizes": [1, 2.5, 1]}])
     def test_non_integral_counts_are_usage_errors(self, tmp_path, capsys, bad):
         cfg_path, data_path = self.write_inputs(tmp_path)

@@ -57,6 +57,14 @@ class TestInitNetwork:
             assert init_network(ok, "regression", lam=1.0, initial_p=2.0, seed=0).layer_sizes == [1, 2, 1]
             assert nguyen_widrow_init(ok, "regression", seed=0).layer_sizes == [1, 2, 1]
 
+    def test_too_few_or_empty_layers_rejected(self):
+        # Both constructors index the sizes, so they are checked first.
+        for bad in ([], [1], [1, 0, 1], [2, -1, 1]):
+            with pytest.raises(ValueError, match=">= 2 positive integers"):
+                init_network(bad, "regression", lam=1.0, initial_p=2.0, seed=0)
+            with pytest.raises(ValueError, match=">= 2 positive integers"):
+                nguyen_widrow_init(bad, "regression", seed=0)
+
     def test_seed_determinism(self):
         a = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=42)
         b = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=42)
