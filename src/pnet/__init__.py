@@ -17,7 +17,6 @@ from .data import Dataset, gen_abs, gen_activity_standin, gen_sign, gen_square, 
 from .network import (
     ForwardTrace,
     PNetwork,
-    forward,
     init_network,
     load_network,
     nguyen_widrow_init,
@@ -25,6 +24,6 @@ from .network import (
     save_network,
 )
 from .oracle import BracketingInterval, GradientCheckReport, bisect_activation, check_network_gradients, finite_diff
-from .training import TrainConfig, TrainLog, TrainingDivergedError, backprop, classification_error, mse, train
+from .training import TrainConfig, TrainLog, TrainingDivergedError, classification_error, mse, train
 
 __version__ = "0.1.0"

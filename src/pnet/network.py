@@ -12,8 +12,10 @@ head does.
 
 `init_network` builds the implicit-activation nets the paper trains;
 `nguyen_widrow_init` builds the fixed-activation baselines they are
-compared against.  Both run through the same forward pass, training
-loop and model format.
+compared against.  For equal sizes and seed both draw the same
+Nguyen-Widrow weights, so two variants differ only in activation kinds,
+lambda and p.  Both run through the same forward pass, training loop
+and model format.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "ForwardTrace",
     "init_network",
     "nguyen_widrow_init",
-    "forward",
     "forward_batch",
     "predict",
     "softmax",
@@ -133,6 +134,28 @@ def _whole_sizes(layer_sizes) -> list[int]:
     return sizes
 
 
+def _nguyen_widrow_weights(sizes: list[int], seed: int) -> list[np.ndarray]:
+    """Nguyen-Widrow weights (Nguyen & Widrow 1990), bias as column 0.
+
+    Per layer with fan-in n and h neurons, weight rows drawn uniform in
+    [-1, 1] are rescaled to magnitude beta = 0.7 * h**(1/n), and biases
+    are spread uniformly over [-beta, beta] with alternating sign (a
+    single neuron gets bias 0).
+    """
+    rng = np.random.default_rng(seed)
+    weights = []
+    for n, h in zip(sizes[:-1], sizes[1:]):
+        beta = 0.7 * h ** (1.0 / n)
+        W = rng.uniform(-1.0, 1.0, size=(h, n))
+        W *= beta / np.linalg.norm(W, axis=1, keepdims=True)
+        if h == 1:
+            b = np.zeros(1)
+        else:
+            b = beta * np.linspace(-1.0, 1.0, h) * (-1.0) ** np.arange(h)
+        weights.append(np.concatenate([b[:, None], W], axis=1))
+    return weights
+
+
 def init_network(
     layer_sizes,
     head: str,
@@ -141,18 +164,18 @@ def init_network(
     seed: int,
     initial_p_output: float | None = None,
 ) -> PNetwork:
-    """Standard-normal weights/biases from a seeded generator, uniform p.
+    """An implicit-activation net with Nguyen-Widrow weights and uniform p.
 
-    ``initial_p_output`` overrides the output layer's p on regression nets
-    (configs may start hidden and output layers at different exponents);
-    a classification net's softmax output has no p, so it must be None there.
+    The weights are those `nguyen_widrow_init` draws for the same sizes
+    and seed.  ``initial_p_output`` overrides the output layer's p on
+    regression nets (configs may start hidden and output layers at
+    different exponents); a classification net's softmax output has no
+    p, so it must be None there.
     """
     if head == "classification" and initial_p_output is not None:
         raise ValueError(f"initial_p_output must be None on a classification head, got {initial_p_output}")
     sizes = _whole_sizes(layer_sizes)
     m = len(sizes) - 1
-    rng = np.random.default_rng(seed)
-    weights = [rng.standard_normal((sizes[k + 1], sizes[k] + 1)) for k in range(m)]
     kinds = ["implicit"] * m
     p_values: list[np.ndarray | None] = [np.full(sizes[k + 1], float(initial_p)) for k in range(m)]
     if head == "classification":
@@ -160,6 +183,7 @@ def init_network(
         p_values[-1] = None
     elif initial_p_output is not None:
         p_values[-1] = np.full(sizes[-1], float(initial_p_output))
+    weights = _nguyen_widrow_weights(sizes, seed)
     net = PNetwork(
         layer_sizes=sizes, weights=weights, activations=kinds, p_values=p_values, lam=float(lam), head=head
     )
@@ -174,13 +198,10 @@ def nguyen_widrow_init(
     hidden_kind: str | None = None,
     output_kind: str | None = None,
 ) -> PNetwork:
-    """A fixed-activation baseline net with Nguyen-Widrow initialization.
+    """A fixed-activation baseline net with Nguyen-Widrow weights.
 
-    Per layer with fan-in n and h neurons, weight rows drawn uniform in
-    [-1, 1] are rescaled to magnitude beta = 0.7 * h**(1/n), and biases
-    are spread uniformly over [-beta, beta] with alternating sign (a
-    single neuron gets bias 0).  The kinds default to satlins/purelin on
-    a regression head and tansig/softmax on a classification head.
+    The kinds default to satlins/purelin on a regression head and
+    tansig/softmax on a classification head.
     """
     sizes = _whole_sizes(layer_sizes)
     m = len(sizes) - 1
@@ -189,18 +210,7 @@ def nguyen_widrow_init(
     if output_kind is None:
         output_kind = "purelin" if head == "regression" else "softmax"
     kinds = [hidden_kind] * (m - 1) + [output_kind]
-    rng = np.random.default_rng(seed)
-    weights = []
-    for k in range(m):
-        n, h = sizes[k], sizes[k + 1]
-        beta = 0.7 * h ** (1.0 / n)
-        W = rng.uniform(-1.0, 1.0, size=(h, n))
-        W *= beta / np.linalg.norm(W, axis=1, keepdims=True)
-        if h == 1:
-            b = np.zeros(1)
-        else:
-            b = beta * np.linspace(-1.0, 1.0, h) * (-1.0) ** np.arange(h)
-        weights.append(np.concatenate([b[:, None], W], axis=1))
+    weights = _nguyen_widrow_weights(sizes, seed)
     net = PNetwork(layer_sizes=sizes, weights=weights, activations=kinds, p_values=[None] * m, lam=0.0, head=head)
     net.validate()
     return net
@@ -243,19 +253,11 @@ def forward_batch(
     return trace
 
 
-def forward(net: PNetwork, x, inner_iters: int = 100) -> ForwardTrace:
-    """Evaluate one input vector; returns a trace with single-row arrays."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"forward expects a 1-d input vector, got shape {x.shape}")
-    return forward_batch(net, x[None, :], inner_iters)
-
-
 def predict(net: PNetwork, x, inner_iters: int = 100) -> np.ndarray:
     """Network output: a vector for a 1-d input, a batch for a 2-d input."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return forward(net, x, inner_iters).outputs[-1][0]
+        return forward_batch(net, x[None, :], inner_iters).outputs[-1][0]
     return forward_batch(net, x, inner_iters).outputs[-1]
 
 

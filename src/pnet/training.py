@@ -33,7 +33,6 @@ __all__ = [
     "TrainLog",
     "TrainingDivergedError",
     "mse",
-    "backprop",
     "backprop_batch",
     "check_dataset",
     "train",
@@ -161,18 +160,6 @@ def backprop_batch(
         S = delta @ net.weights[k][:, 1:]
 
     return weight_grads, p_grads
-
-
-def backprop(
-    net: PNetwork, trace: ForwardTrace, target
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """Single-sample gradients; the trace must hold exactly one row."""
-    target = np.asarray(target, dtype=float)
-    if target.ndim == 1:
-        target = target[None, :]
-    if trace.outputs[-1].shape[0] != 1 or target.shape[0] != 1:
-        raise ValueError("backprop expects a single-sample trace and target; use backprop_batch")
-    return backprop_batch(net, trace, target)
 
 
 def _p_labels(net: PNetwork) -> list[tuple[int, int]]:

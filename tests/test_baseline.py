@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.activation import ACTIVATION_KINDS, evaluate_many, fixed_deriv, fixed_eval
 from pnet.data import Dataset
-from pnet.network import PNetwork, forward_batch, load_network, nguyen_widrow_init, save_network
+from pnet.network import PNetwork, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from pnet.oracle import rel_err
 from pnet.training import TrainConfig, TrainingDivergedError, backprop_batch, classification_error, mse, train
 
@@ -71,23 +71,37 @@ class TestFixedDeriv:
             assert rel_err(float(fixed_deriv(kind, np.array(a))), fd) <= 1e-5
 
 
+# Both constructors draw the same Nguyen-Widrow weights.
+WEIGHT_DRAWS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda sizes, seed: nguyen_widrow_init(sizes, "regression", seed=seed),
+        lambda sizes, seed: init_network(sizes, "regression", lam=1.0, initial_p=2.0, seed=seed),
+    ],
+    ids=["nguyen_widrow_init", "init_network"],
+)
+
+
 class TestNguyenWidrow:
-    def test_row_magnitudes(self):
-        net = nguyen_widrow_init([3, 7, 2], "regression", seed=0)
+    @WEIGHT_DRAWS
+    def test_row_magnitudes(self, make):
+        net = make([3, 7, 2], 0)
         for k, (n, hsz) in enumerate([(3, 7), (7, 2)]):
             beta = 0.7 * hsz ** (1.0 / n)
             norms = np.linalg.norm(net.weights[k][:, 1:], axis=1)
             assert_allclose(norms, np.full(hsz, beta), rtol=1e-12, atol=0)
 
-    def test_bias_spread_alternates(self):
-        net = nguyen_widrow_init([3, 5, 2], "regression", seed=1)
+    @WEIGHT_DRAWS
+    def test_bias_spread_alternates(self, make):
+        net = make([3, 5, 2], 1)
         n, hsz = 3, 5
         beta = 0.7 * hsz ** (1.0 / n)
         expected = beta * np.linspace(-1.0, 1.0, hsz) * (-1.0) ** np.arange(hsz)
         assert_allclose(net.weights[0][:, 0], expected, rtol=0, atol=1e-12)
 
-    def test_single_neuron_bias_zero(self):
-        net = nguyen_widrow_init([3, 4, 1], "regression", seed=2)
+    @WEIGHT_DRAWS
+    def test_single_neuron_bias_zero(self, make):
+        net = make([3, 4, 1], 2)
         assert net.weights[-1][0, 0] == 0.0
 
     def test_default_kinds(self):

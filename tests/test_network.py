@@ -9,7 +9,6 @@ from pnet.network import (
     ModelFormatError,
     PNetwork,
     fmt_float,
-    forward,
     forward_batch,
     init_network,
     load_network,
@@ -64,6 +63,19 @@ class TestInitNetwork:
                 init_network(bad, "regression", lam=1.0, initial_p=2.0, seed=0)
             with pytest.raises(ValueError, match=">= 2 positive integers"):
                 nguyen_widrow_init(bad, "regression", seed=0)
+
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    @pytest.mark.parametrize(
+        "sizes", [[3, 5, 2], [1, 10, 5, 3, 1], [60, 30, 15, 5], [4, 1]], ids=lambda s: "-".join(map(str, s))
+    )
+    def test_weights_are_nguyen_widrow_init_weights(self, head, sizes):
+        # A p-net and a baseline of the same sizes and seed start from the
+        # same weights, so a comparison changes only the activations.
+        net = init_network(sizes, head, lam=1.0, initial_p=5.0, seed=17)
+        base = nguyen_widrow_init(sizes, head, seed=17)
+        assert len(net.weights) == len(base.weights)
+        for W, Wb in zip(net.weights, base.weights):
+            assert_array_equal(W, Wb)
 
     def test_seed_determinism(self):
         a = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=42)
@@ -167,8 +179,7 @@ class TestForward:
         X = rng.standard_normal((5, 2))
         batch = forward_batch(net, X).outputs[-1]
         for i in range(5):
-            single = forward(net, X[i]).outputs[-1][0]
-            assert_allclose(single, batch[i], rtol=0, atol=1e-12)
+            assert_allclose(predict(net, X[i]), batch[i], rtol=0, atol=1e-12)
 
     def test_predict_shapes(self):
         net = init_network([2, 3, 2], "regression", lam=0.5, initial_p=2.0, seed=7)
@@ -184,8 +195,6 @@ class TestForward:
             forward_batch(net, np.zeros((3, 5)))
         with pytest.raises(ValueError):
             forward_batch(net, np.array([[0.0, np.inf]]))
-        with pytest.raises(ValueError):
-            forward(net, np.zeros((2, 2)))
 
     def test_deterministic(self):
         net = init_network([2, 4, 2], "regression", lam=1.0, initial_p=3.0, seed=9)
@@ -290,11 +299,26 @@ class TestSerialization:
 
 # One v1 model file of each kind, with the predictions on V1_INPUTS, as
 # written by the code that had separate p-network and baseline classes.
-# ``make`` rebuilds the same net with today's constructors.
+# ``make`` rebuilds the same net: a baseline with its constructor, a
+# p-network from the weights and p written in its file (those weights are
+# not a Nguyen-Widrow draw).
 V1_INPUTS = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
 V1_MODELS = {
     "pnetwork_regression": dict(
-        make=lambda: init_network([2, 2, 1], "regression", lam=0.5, initial_p=3.0, seed=21, initial_p_output=1.5),
+        make=lambda: PNetwork(
+            layer_sizes=[2, 2, 1],
+            weights=[
+                np.array([
+                    [0.35877340800391416, 1.5106773081434572, -1.7863312373111822],
+                    [1.6866135086657521, -0.047317212156137566, -0.79997858437515323],
+                ]),
+                np.array([[-0.80295671839036198, -1.0828165165825909, -0.22364535840745078]]),
+            ],
+            activations=["implicit", "implicit"],
+            p_values=[np.array([3.0, 3.0]), np.array([1.5])],
+            lam=0.5,
+            head="regression",
+        ),
         text="""pnetwork 1
 head regression
 lambda 0.5
@@ -311,7 +335,23 @@ end
         outputs=[["-1.3428424769732155"], ["-1.2977530064893061"], ["0.15043978226535559"]],
     ),
     "pnetwork_classification": dict(
-        make=lambda: init_network([2, 2, 2], "classification", lam=1.0, initial_p=2.5, seed=22),
+        make=lambda: PNetwork(
+            layer_sizes=[2, 2, 2],
+            weights=[
+                np.array([
+                    [-1.3976184247040431, -1.204009490095536, -1.3022690060563118],
+                    [-0.62268536704388844, 1.4472801153936388, -1.6013138916154472],
+                ]),
+                np.array([
+                    [0.94396946426691153, 1.2624719157159621, -0.35546062571105153],
+                    [-0.70093608667580731, 0.47211462069079746, 1.214557665204409],
+                ]),
+            ],
+            activations=["implicit", "softmax"],
+            p_values=[np.array([2.5, 2.5]), None],
+            lam=1.0,
+            head="classification",
+        ),
         text="""pnetwork 1
 head classification
 lambda 1

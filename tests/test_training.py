@@ -6,14 +6,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.activation import P_MAX, P_MIN, dv_da_many, dv_dp_many
 from pnet.data import Dataset, gen_activity_standin, gen_square
-from pnet.network import PNetwork, forward, forward_batch, init_network
+from pnet.network import PNetwork, forward_batch, init_network
 from pnet.training import (
     UPDATE_MODES,
     TrainConfig,
     TrainingDivergedError,
     TrainLog,
     _apply_batch_pass,
-    backprop,
     backprop_batch,
     classification_error,
     mse,
@@ -61,9 +60,9 @@ class TestMse:
 class TestBackprop:
     def test_single_neuron_hand_values(self):
         net = single_neuron_net()
-        trace = forward(net, np.array([3.0]))
+        trace = forward_batch(net, np.array([[3.0]]))
         assert_allclose(trace.outputs[-1], [[1.0]], rtol=0, atol=1e-15)
-        wg, pg = backprop(net, trace, np.array([0.0]))
+        wg, pg = backprop_batch(net, trace, np.array([[0.0]]))
         # delta = (1 - 0) * dv_da(v=1) = 1/3; dE/dw = delta * x = 1;
         # dE/dbias = delta; dE/dp = (1 - 0) * dv_dp(v=1) = -1/3.
         assert_allclose(wg[0], np.array([[1.0 / 3.0, 1.0]]), rtol=0, atol=1e-12)
@@ -97,20 +96,14 @@ class TestBackprop:
         singles_w = [np.zeros_like(g) for g in wg]
         singles_p = [np.zeros_like(g) for g in pg]
         for i in range(5):
-            ti = forward(net, X[i])
-            wgi, pgi = backprop(net, ti, Y[i])
+            ti = forward_batch(net, X[i : i + 1])
+            wgi, pgi = backprop_batch(net, ti, Y[i : i + 1])
             for k in range(len(wg)):
                 singles_w[k] += wgi[k] / 5.0
                 singles_p[k] += pgi[k] / 5.0
         for k in range(len(wg)):
             assert_allclose(wg[k], singles_w[k], rtol=1e-10, atol=1e-14)
             assert_allclose(pg[k], singles_p[k], rtol=1e-10, atol=1e-14)
-
-    def test_multi_row_trace_rejected(self):
-        net = single_neuron_net()
-        trace = forward_batch(net, np.array([[1.0], [2.0]]))
-        with pytest.raises(ValueError):
-            backprop(net, trace, np.array([[0.0], [0.0]]))
 
     def test_compute_p_flag(self):
         net = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.5, seed=4)
@@ -340,13 +333,15 @@ class TestWarmStartedBatch:
 class TestTrainIncremental:
     @staticmethod
     def reference_passes(net, data, cfg, passes):
-        # The per-pair semantics, spelled out with the public single-row
-        # routines: forward one pair, take all its gradients at the
-        # parameters it found, then step the weights and clip each p.
+        # The per-pair semantics, spelled out with the public batch
+        # routines on one-row batches: forward one pair, take all its
+        # gradients at the parameters it found, then step the weights and
+        # clip each p.
         ref = net.copy()
         for _ in range(passes):
-            for x, y in zip(data.inputs, data.targets):
-                wg, pg = backprop(ref, forward(ref, x, cfg.inner_iters), y)
+            for i in range(data.inputs.shape[0]):
+                x, y = data.inputs[i : i + 1], data.targets[i : i + 1]
+                wg, pg = backprop_batch(ref, forward_batch(ref, x, cfg.inner_iters), y)
                 for k in range(ref.n_layers):
                     ref.weights[k] -= cfg.alpha_w * wg[k]
                     if pg[k] is not None:
