@@ -42,13 +42,22 @@ in [1e-10, 10] every lane freezes within 5 steps; for ``|a|`` in
 
 A warm start ``v0`` (a nearby earlier root, say) may lie on either side
 of the root; the lane starts at the smaller of ``|v0|`` (in ``y``) and
-the cold bound above.  Newton's first step from below the root lands
-above it, because the residual is convex and increasing; that step
-therefore cannot count as convergence, and its result is clamped to the
-cold bound.  From there the iteration is the cold one, so a warm lane
-takes at most one step more than a cold lane (6), and usually far fewer.
-The root is the same, but the path to it is not, so outputs depend on
-``v0`` at rounding level.
+the trivial bound ``x/d``, and a NaN ``v0`` starts at ``x/d``.  The cold
+bound is not formed up front: the first step decides which lanes need
+it.  Newton's first step from below the root lands above it, because
+the residual is convex and increasing, so that step cannot count as
+convergence.  A lane is *far* when its first relative step
+``rho = |y - y_new| / min(y, y_new)`` has ``(n-1)*rho > 1/2``, or is not
+finite: it started below the root by a wide margin, or above it in
+Newton's slow phase, where each step shrinks ``y`` by about ``1/n``.
+Only the far lanes compute the cold bound, gathered, and continue from no
+higher than it; from there the iteration is the cold one, so a warm lane
+takes at most one step more than a cold lane (6).  A near lane is in
+Newton's quadratic basin and continues from its first step.  Starts
+within 1e-6 of a root that does not underflow never compute the bound,
+and most warm lanes of batch training freeze after two steps.  The root
+is the same, but the path to it is not, so outputs depend on ``v0`` at
+rounding level.
 
 Lanes converge at different rates, above all when each neuron has its
 own ``p``.  `evaluate_many` therefore steps the full array only while
@@ -213,6 +222,33 @@ def _newton_form(p, lam: float):
     return p < 2.0, n, d, k, np.log(k) - n * np.log(d)
 
 
+def _cold_bound(x, n, nm1, log_kd, d) -> np.ndarray:
+    """The cold start of each lane, in y: an upper bound of the root.
+
+    That is ``(x/d) * exp(-max(log K, W~(n*K)) / n)`` (see the module
+    docstring), formed in y with L in a scratch array.  ``x`` is a
+    lane array; the constants broadcast against it.
+    """
+    y = np.maximum(x, _TINY)
+    np.log(y, out=y)
+    y *= nm1
+    y += log_kd
+    u = y + np.log(n)
+    np.maximum(u, 0.0, out=u)
+    np.subtract(u, np.log1p(u), out=u)
+    np.maximum(y, u, out=y)
+    y *= -1.0 / n
+    np.exp(y, out=y)
+    y *= x
+    y /= d
+    return y
+
+
+def _p_index(p: np.ndarray, shape, lanes: np.ndarray) -> np.ndarray:
+    """The flat index into ``p`` of each flat lane of ``p`` broadcast to ``shape``."""
+    return np.broadcast_to(np.arange(p.size).reshape(p.shape), shape).reshape(-1)[lanes]
+
+
 def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarray:
     """Evaluate the activation elementwise; ``a`` and ``p`` broadcast.
 
@@ -235,13 +271,16 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
     depend on how inputs are batched.
 
     ``v0`` optionally provides a starting magnitude ``|v0|`` per lane,
-    clamped to the cold upper bound; a lane whose ``v0`` is NaN or
-    infinite starts at the bound.  The start may lie on either side of
-    the root: a lane whose first step moves up by more than its stop
-    tolerance keeps moving from no higher than the cold bound, and
-    every later step is monotone.  A warm lane takes at most 6 steps,
-    and the result depends on ``v0`` at rounding level.  Without
-    ``v0`` every lane starts at the cold bound.
+    capped at the trivial bound ``x/d``; a lane whose ``v0`` is NaN
+    starts at that bound.  The start may lie on either side of the root.
+    A lane whose first step moves up by more than its stop tolerance
+    keeps moving.  A far lane, whose first relative step
+    ``rho = |y - y_new| / min(y, y_new)`` has ``(n-1)*rho > 1/2`` or is not
+    finite, keeps moving from no higher than the cold bound, which is
+    computed for the far lanes alone; every later step is monotone.  A
+    warm lane takes at most 6 steps, and the result depends on ``v0`` at
+    rounding level.  Without ``v0`` every lane starts at the cold bound,
+    computed by the same routine as a far lane's.
     """
     if inner_iters < 1:
         raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
@@ -261,32 +300,22 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
         # A lane keeps moving while y > (1 + tol) * y_new.
         tol1 = 1.0 + np.sqrt(_EPS / np.maximum(nm1, _EPS))
 
-        # Start: (x/d) * exp(-max(log K, W~(n*K)) / n), an upper bound,
-        # formed in y with L in u; u and y_new are the step's scratch.
         x = np.abs(np.broadcast_to(a, shape), order="C")
-        y = np.maximum(x, _TINY)
-        np.log(y, out=y)
-        y *= nm1
-        y += log_kd
-        u = y + np.log(n)
-        np.maximum(u, 0.0, out=u)
-        y_new = np.log1p(u)
-        np.subtract(u, y_new, out=u)
-        np.maximum(y, u, out=y)
-        y *= -1.0 / n
-        np.exp(y, out=y)
-        y *= x
-        y /= d
-        bound = None
-        if v0 is not None:
-            # A warm start from either side, never above the cold bound
-            # (fmin also drops NaN).  The first step keeps `bound` to clamp
-            # lanes that started below the root.
-            w = np.abs(np.broadcast_to(_as_float_array(v0), shape))
+        warm = v0 is not None
+        if warm:
+            # A warm start from either side, never above the trivial bound
+            # x/d (fmin also drops NaN).  The first step decides which lanes
+            # need the cold bound.
+            y = np.abs(np.broadcast_to(_as_float_array(v0), shape))
             if low.any():
-                w = np.where(low, w ** (p - 1.0), w)
-            np.fmin(w, y, out=w)
-            y, bound = w, y
+                y = np.where(low, y ** (p - 1.0), y)
+            u = x / d
+            np.fmin(y, u, out=y)
+        else:
+            y = _cold_bound(x, n, nm1, log_kd, d)
+            u = np.empty(shape)
+        # u and y_new are the step's scratch.
+        y_new = np.empty(shape)
 
         # The working set starts as every lane of y, constants broadcast
         # from p.  Once at most half of it still moves it is gathered down
@@ -310,15 +339,30 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
             y_new /= u
             np.multiply(y_new, c_tol1, out=u)
             np.greater(ys, u, out=moving)
-            if bound is not None:
-                # First step of a warm start: a lane that started below the
-                # root steps up past it, keeps moving, and continues from
-                # no higher than the cold bound.
+            if warm:
+                # First step of a warm start.  A lane that started below the
+                # root steps up past it and keeps moving.  A far lane, whose
+                # relative step rho = |y - y_new| / min(y, y_new) has
+                # (n-1)*rho > 1/2 or is not finite, keeps moving from no
+                # higher than the cold bound, computed for the far lanes only.
+                warm = False
                 np.multiply(ys, c_tol1, out=u)
                 np.greater(y_new, u, out=u)
                 np.logical_or(moving, u, out=moving)
-                np.fmin(y_new, bound, out=y_new)
-                bound = None
+                np.subtract(ys, y_new, out=u)
+                np.abs(u, out=u)
+                u *= 2.0 * c_nm1
+                # NaN compares false, so a non-finite step is far.
+                near = u <= ys
+                near &= u <= y_new
+                far = np.flatnonzero(~near)
+                if far.size:
+                    pf = _p_index(p, shape, far)
+                    bound = _cold_bound(
+                        x.reshape(-1)[far], *(c.reshape(-1)[pf] for c in (n, nm1, log_kd, d))
+                    )
+                    y_new.reshape(-1)[far] = np.fmin(y_new.reshape(-1)[far], bound)
+                    moving.reshape(-1)[far] = True
             np.copyto(ys, y_new, where=active)
             active &= moving
             count = np.count_nonzero(active)
@@ -328,9 +372,8 @@ def evaluate_many(a, p, lam: float, inner_iters: int = 100, v0=None) -> np.ndarr
                 continue
             sel = np.flatnonzero(active)
             if lanes is None:
-                p_index = np.arange(p.size).reshape(p.shape)
-                p_index = np.broadcast_to(p_index, shape).reshape(-1)[sel]
-                consts = tuple(c.reshape(-1)[p_index] for c in consts)
+                pf = _p_index(p, shape, sel)
+                consts = tuple(c.reshape(-1)[pf] for c in consts)
                 lanes, xs, ys = sel, x.reshape(-1)[sel], y_flat[sel]
             else:
                 y_flat[lanes] = ys

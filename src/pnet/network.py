@@ -223,10 +223,12 @@ def forward_batch(
 
     ``inner_iters`` is the Newton step budget of the implicit layers.
     ``start`` optionally warm-starts them: a trace over the same rows
-    (typically of the same net a small parameter step ago) whose outputs
-    serve as each implicit layer's ``v0`` in `evaluate_many`.  Warm starts
-    may lie on either side of the root and take at most 6 steps per lane;
-    the outputs then depend on ``start`` at rounding level only.
+    whose outputs serve as each implicit layer's ``v0`` in
+    `evaluate_many`, typically of the same net a small parameter step
+    ago (batch training passes its extrapolation of the last two).
+    Warm starts may lie on either side of the root and take at most 6
+    steps per lane; the outputs then depend on ``start`` at rounding
+    level only.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:

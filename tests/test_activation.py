@@ -522,6 +522,62 @@ class TestWarmStart:
                         err_msg=f"p={p}, lam={lam}, v0={name}",
                     )
 
+    @staticmethod
+    def first_step_rule(a, p, lam, v0):
+        # The far-lane rule applied to the start and first Newton step of
+        # each lane, recomputed here: ``(n-1)*rho`` with the relative step
+        # ``rho = |y - y_new| / min(y, y_new)``, NaN where it is undefined.
+        x = np.abs(a)
+        n, d, k = (p - 1.0, 1.0, lam * p) if p > 2.0 else (1.0 / (p - 1.0), lam * p, 1.0)
+        with np.errstate(all="ignore"):
+            w = np.abs(v0) ** (p - 1.0) if p < 2.0 else np.abs(v0)
+            y = np.fmin(w, x / d)
+            u = y ** (n - 1.0)
+            y_new = (u * (k * (n - 1.0)) * y + x) / (u * (k * n) + d)
+            return (n - 1.0) * np.abs(y - y_new) / np.minimum(y, y_new)
+
+    def test_only_far_lanes_compute_the_cold_bound(self, monkeypatch):
+        # Lanes that reach the cold bound, counted by wrapping it.  Starts
+        # 1e-6 from the root never need it, except where the root
+        # underflows to 0 and so does the start.  From NaN, inf and
+        # 1e8 * root (all three capped at x/d) a lane needs it exactly when
+        # its first step is far, (n-1)*rho > 1/2 or not finite; a lane whose
+        # x/d is already in Newton's basin (tiny |a| at p > 2, where the
+        # root is nearly x/d) does not.
+        import pnet.activation
+
+        reached = []
+        cold_bound = pnet.activation._cold_bound
+
+        def counting(x, *consts):
+            reached.append(np.array(x))
+            return cold_bound(x, *consts)
+
+        monkeypatch.setattr(pnet.activation, "_cold_bound", counting)
+        a = self.MAGNITUDES
+        far_total = 0
+        for p in self.GRID_P:
+            pp = np.full(a.size, p)
+            for lam in self.GRID_LAM:
+                with np.errstate(over="ignore"):
+                    ref = np.array([bisect_root(x, p, lam, tol=None) for x in a])
+                keep = ref != 0.0
+                for f in (1.0 - 1e-6, 1.0 + 1e-6):
+                    evaluate_many(a[keep], pp[keep], lam, inner_iters=10, v0=f * ref[keep])
+                    assert not reached, f"p={p}, lam={lam}, v0=root*{f}: {np.concatenate(reached)[:3]}"
+                unusable = {"nan": np.full(a.size, np.nan), "inf": np.full(a.size, np.inf), "1e8 root": 1e8 * ref}
+                for name, v0 in unusable.items():
+                    evaluate_many(a, pp, lam, inner_iters=10, v0=v0)
+                    got = np.isin(a, np.concatenate(reached)) if reached else np.zeros(a.size, dtype=bool)
+                    reached.clear()
+                    rule = self.first_step_rule(a, p, lam, v0)
+                    far = ~(rule <= 0.5 * (1.0 + 1e-9))
+                    near = rule < 0.5 * (1.0 - 1e-9)
+                    assert got[far].all() and not got[near].any(), f"p={p}, lam={lam}, v0={name}"
+                    far_total += np.count_nonzero(far)
+        # The far lanes are a large share of the grid, not a corner of it.
+        assert far_total > 0.25 * 3 * a.size * self.GRID_P.size * len(self.GRID_LAM)
+
 
 class TestLimits:
     A = np.linspace(-5.0, 5.0, 2001)

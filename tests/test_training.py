@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.activation import P_MAX, P_MIN, dv_da_many, dv_dp_many
 from pnet.data import Dataset, gen_activity_standin, gen_square
-from pnet.network import PNetwork, forward_batch, init_network
+from pnet.network import PNetwork, forward_batch, init_network, nguyen_widrow_init
 from pnet.training import (
     UPDATE_MODES,
     TrainConfig,
@@ -300,25 +300,98 @@ class TestTrainBatch:
 class TestWarmStartedBatch:
     # An ex3-shaped classifier (60-30-15-5, lam 1, p 5, inner_iters 10) on
     # 300 rows of the activity stand-in, trained with batch updates whose
-    # error evaluations warm-start from the previous iteration's trace.
+    # error evaluations warm-start from the previous iterations' traces:
+    # the first from the last outputs, the rest from their extrapolation
+    # 2*V_t - V_(t-1).
     CFG = TrainConfig(alpha_w=0.1, alpha_p=0.1, max_iters=20, max_error=1e-300, inner_iters=10)
 
     def _net_and_data(self):
         net = init_network([60, 30, 15, 5], "classification", lam=1.0, initial_p=5.0, seed=13)
         return net, gen_activity_standin(60, 977)
 
-    def test_matches_cold_solves(self):
-        net, data = self._net_and_data()
-        trained, log = train(net, data, self.CFG)
+    @staticmethod
+    def _check_matches_cold_solves(net, data, cfg):
+        trained, log = train(net, data, cfg)
         # The same updates with every evaluation solved cold.
         ref, trace, errors = net.copy(), None, []
-        for _ in range(self.CFG.max_iters):
-            _apply_batch_pass(ref, data.inputs, data.targets, self.CFG, True, trace)
-            trace = forward_batch(ref, data.inputs, self.CFG.inner_iters)
+        for _ in range(cfg.max_iters):
+            _apply_batch_pass(ref, data.inputs, data.targets, cfg, True, trace)
+            trace = forward_batch(ref, data.inputs, cfg.inner_iters)
             errors.append(mse(trace.outputs[-1], data.targets))
         assert_allclose(log.errors, errors, rtol=1e-12, atol=0)
-        for got, want in zip(trained.weights + trained.p_values[:-1], ref.weights + ref.p_values[:-1]):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = trained.weights + [pk for pk in trained.p_values if pk is not None]
+        want = ref.weights + [pk for pk in ref.p_values if pk is not None]
+        for g, w in zip(got, want, strict=True):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        return log
+
+    def test_matches_cold_solves(self):
+        net, data = self._net_and_data()
+        self._check_matches_cold_solves(net, data, self.CFG)
+
+    @pytest.mark.parametrize("alpha_p", [1.0, 60.0], ids=["free", "pinned"])
+    def test_matches_cold_solves_below_p2(self, alpha_p):
+        # A 2-6-4-1 regression net at p = 1.5, lam = 0.1, where every
+        # extrapolated start passes through the w**(p-1) branch.  At
+        # alpha_p = 60 a hidden p reaches P_MIN after a few warm
+        # measurements and stays there, and p = 1.01 puts lanes in the
+        # soft-threshold regime, where outputs underflow to 0.
+        rng = np.random.default_rng(41)
+        X = rng.uniform(-1.0, 1.0, (200, 2))
+        data = Dataset(X, X[:, :1] * X[:, 1:], "regression")
+        net = init_network([2, 6, 4, 1], "regression", lam=0.1, initial_p=1.5, seed=17)
+        cfg = TrainConfig(alpha_w=0.1, alpha_p=alpha_p, max_iters=20, max_error=1e-300, inner_iters=10)
+        log = self._check_matches_cold_solves(net, data, cfg)
+        pinned = np.flatnonzero((log.p_history <= P_MIN).any(axis=1))
+        if alpha_p > 1.0:
+            assert 3 <= pinned[0] and pinned[-1] == cfg.max_iters - 1, pinned
+        else:
+            assert pinned.size == 0 and log.p_history.max() < 2.0
+
+    def test_starts_extrapolate_the_last_two_measurements(self, monkeypatch):
+        # Each measurement's start, as forward_batch receives it, against
+        # the outputs of the measurements before it (copied when made,
+        # since train reuses the older arrays for the extrapolation).
+        import pnet.training
+
+        calls = []
+
+        def recording(net, X, inner_iters=100, start=None):
+            seen = None if start is None else [V.copy() for V in start.outputs]
+            trace = forward_batch(net, X, inner_iters, start)
+            calls.append((start, seen, [V.copy() for V in trace.outputs]))
+            return trace
+
+        monkeypatch.setattr(pnet.training, "forward_batch", recording)
+        net, data = self._net_and_data()
+        train(net, data, TrainConfig(0.1, 0.1, 5, 1e-300, inner_iters=10))
+        # One cold solve inside the first update, then one per measurement.
+        assert len(calls) == 6 and calls[0][0] is None and calls[1][0] is None
+        assert_array_equal(calls[2][1][1], calls[1][2][1])
+        for j in range(3, 6):
+            older, last = calls[j - 2][2], calls[j - 1][2]
+            for k in (1, 2):  # the implicit layers
+                want = 2.0 * last[k] - older[k]
+                assert_allclose(calls[j][1][k], want, rtol=0, atol=4e-16 * np.max(np.abs(want)))
+            assert_array_equal(calls[j][1][3], last[3])  # softmax output: the last trace's
+
+    def test_baselines_start_from_the_last_trace(self, monkeypatch):
+        # A net with no implicit layer builds no extrapolated start.
+        import pnet.training
+
+        starts, traces = [], []
+
+        def recording(net, X, inner_iters=100, start=None):
+            starts.append(start)
+            traces.append(forward_batch(net, X, inner_iters, start))
+            return traces[-1]
+
+        monkeypatch.setattr(pnet.training, "forward_batch", recording)
+        _, data = self._net_and_data()
+        net = nguyen_widrow_init([60, 30, 15, 5], "classification", seed=13)
+        train(net, data, TrainConfig(0.1, 0.0, 4, 1e-300))
+        assert starts[:2] == [None, None]
+        assert all(s is t for s, t in zip(starts[2:], traces[1:-1], strict=True))
 
     def test_reruns_are_byte_identical(self):
         net, data = self._net_and_data()
