@@ -74,8 +74,8 @@ passes them to both routines; a forward pass computes neither.
 
 A network layer applies one activation kind (`ACTIVATION_KINDS`): the
 implicit activation above, the only kind with a trainable ``p``, or one
-of the fixed classical kinds evaluated by `fixed_eval` and
-differentiated by `fixed_deriv`.
+of the fixed classical kinds evaluated by `fixed_eval`.  Every kind's
+slope is read from the layer output (`dv_da_many`, `fixed_deriv`).
 """
 
 from __future__ import annotations
@@ -563,7 +563,7 @@ def fixed_eval(kind: str, a: np.ndarray) -> np.ndarray:
     if kind == "satlins":
         return np.clip(a, -1.0, 1.0)
     if kind == "tansig":
-        return 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
+        return np.tanh(a)
     if kind == "purelin":
         return a.copy()
     if kind == "softmax":
@@ -571,18 +571,18 @@ def fixed_eval(kind: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown fixed activation kind {kind!r}")
 
 
-def fixed_deriv(kind: str, a: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of a fixed activation at pre-activation a.
-
-    The softmax kind is excluded: its output-layer delta is assembled
-    directly in `pnet.training.backprop_batch`.
+def fixed_deriv(kind: str, v: np.ndarray) -> np.ndarray:
+    """Elementwise slope of a fixed activation at its output ``v`` (not its
+    input): satlins ``|v| < 1``, tansig ``1 - v*v``, purelin 1, and softmax
+    ``v*(1 - v)``, the diagonal of its row Jacobian used as the output delta.
     """
-    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
     if kind == "satlins":
-        return ((a > -1.0) & (a < 1.0)).astype(float)
+        return (np.abs(v) < 1.0).astype(float)
     if kind == "tansig":
-        t = 2.0 / (1.0 + np.exp(-2.0 * a)) - 1.0
-        return 1.0 - t * t
+        return 1.0 - v * v
     if kind == "purelin":
-        return np.ones_like(a)
+        return np.ones_like(v)
+    if kind == "softmax":
+        return v * (1.0 - v)
     raise ValueError(f"no elementwise derivative for activation kind {kind!r}")

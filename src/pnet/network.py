@@ -110,9 +110,11 @@ class ForwardTrace:
     ``activations[k]`` holds a^{k+1} and ``outputs[k+1]`` holds v^{k+1},
     with ``outputs[0]`` the input batch itself; all arrays are N x r.
     The implicit bias input v_0 = 1 is applied at use sites, not stored.
-    Derivative terms are not cached: backpropagation forms them from the
-    outputs (`pnet.activation.derivative_terms`), so a forward pass that
-    is never backpropagated does not pay for them.
+    Derivative terms are not cached: backpropagation reads only the
+    outputs and forms every slope from them (`derivative_terms`,
+    `fixed_deriv`), so a forward pass that is never backpropagated does
+    not pay for them.  ``activations`` is kept for the gradient oracle
+    and the benchmark's solver check.
     """
 
     activations: list[np.ndarray] = field(default_factory=list)
@@ -347,29 +349,40 @@ def save_network(net: PNetwork, path: str) -> None:
 
 
 def load_network(path: str) -> PNetwork:
-    """Load a model saved in either the ``pnetwork 1`` or ``baseline 1`` format."""
+    """Load a model saved in either the ``pnetwork 1`` or ``baseline 1`` format.
+
+    A line that does not parse raises `ModelFormatError` naming the file
+    and line; a net that parses but breaks a `PNetwork.validate` rule
+    raises its ValueError.
+    """
     r = _LineReader(path)
     tag = r.next()[0]
     if tag not in ("pnetwork", "baseline"):
         raise ModelFormatError(f"{path}: unknown model tag {tag!r}")
     implicit = tag == "pnetwork"
-    head = r.next("head")[1]
-    lam = float(r.next("lambda")[1]) if implicit else 0.0
-    sizes = [int(v) for v in r.next("layer_sizes")[1:]]
-    weights, kinds = [], []
-    p_values: list[np.ndarray | None] = []
-    for k in range(len(sizes) - 1):
-        r.next("layer")
-        if implicit:
-            pf = r.next("p")[1:]
-            kind = pf[0] if len(pf) == 1 and pf[0] in ACTIVATION_KINDS else "implicit"
-            p_values.append(r.floats(pf, sizes[k + 1], "p") if kind == "implicit" else None)
-        else:
-            kind = r.next("activation")[1]
-            p_values.append(None)
-        kinds.append(kind)
-        rows = [r.floats(r.next("w")[1:], sizes[k] + 1, "weights") for _ in range(sizes[k + 1])]
-        weights.append(np.array(rows))
+    try:
+        head = r.next("head")[1]
+        lam = float(r.next("lambda")[1]) if implicit else 0.0
+        sizes = [int(v) for v in r.next("layer_sizes")[1:]]
+        weights, kinds = [], []
+        p_values: list[np.ndarray | None] = []
+        for k in range(len(sizes) - 1):
+            r.next("layer")
+            if implicit:
+                pf = r.next("p")[1:]
+                kind = pf[0] if len(pf) == 1 and pf[0] in ACTIVATION_KINDS else "implicit"
+                p_values.append(r.floats(pf, sizes[k + 1], "p") if kind == "implicit" else None)
+            else:
+                kind = r.next("activation")[1]
+                p_values.append(None)
+            kinds.append(kind)
+            rows = [r.floats(r.next("w")[1:], sizes[k] + 1, "weights") for _ in range(sizes[k + 1])]
+            weights.append(np.array(rows))
+    except ModelFormatError:
+        raise
+    except (IndexError, ValueError) as exc:
+        # A line missing its value, or a value that is not a number.
+        raise ModelFormatError(f"{path} line {r.pos}: cannot read {r.lines[r.pos - 1].strip()!r}") from exc
     r.next("end")
     net = PNetwork(layer_sizes=sizes, weights=weights, activations=kinds, p_values=p_values, lam=lam, head=head)
     net.validate()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import EPS_V, ActivationParams
+from .activation import ActivationParams
 
 __all__ = [
     "BracketError",

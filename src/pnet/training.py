@@ -3,9 +3,9 @@
 Backpropagation treats each implicit neuron's shape exponent p as a
 trainable parameter alongside the weights: sensitivities flow back through
 dv/da, and each p collects dv/dp weighted by the same back-propagated sum.
-A layer of a fixed kind passes sensitivities back through its elementwise
-derivative and has no p.  A softmax output layer contributes the
-elementwise delta (yhat - y) * yhat * (1 - yhat).
+A layer of a fixed kind has no p and passes sensitivities back through
+`pnet.activation.fixed_deriv` at its output; a softmax output thus gives
+the diagonal delta (yhat - y) * yhat * (1 - yhat).
 """
 
 from __future__ import annotations
@@ -140,10 +140,8 @@ def backprop_batch(
     S = yhat - Y  # dE/dv of the layer being processed, per sample
     for k in range(m - 1, -1, -1):
         kind = net.activations[k]
-        if kind == "softmax":
-            delta = S * yhat * (1.0 - yhat)
-        elif kind == "implicit":
-            V = trace.outputs[k + 1]
+        V = trace.outputs[k + 1]
+        if kind == "implicit":
             pk = net.p_values[k][None, :]
             power = None
             if compute_p:
@@ -151,7 +149,7 @@ def backprop_batch(
                 p_grads[k] = np.mean(dv_dp_many(V, pk, net.lam, power, log_v) * S, axis=0)
             delta = dv_da_many(V, pk, net.lam, power) * S
         else:
-            delta = fixed_deriv(kind, trace.activations[k]) * S
+            delta = fixed_deriv(kind, V) * S
         weight_grads[k] = np.concatenate(
             [np.sum(delta, axis=0)[:, None], delta.T @ trace.outputs[k]], axis=1
         ) / n
@@ -220,7 +218,7 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
     ps = [net.p_values[k].tolist() for k in range(n_implicit)]
 
     outs = [None] * (m + 1)
-    slopes = [None] * n_implicit
+    slopes = [None] * m
     sens = [None] * n_implicit
     deltas = [None] * m
     pgs = [None] * n_implicit
@@ -232,23 +230,19 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
             a = W[:, 1:] @ v + W[:, 0]
             if k == n_implicit:
                 v = softmax(a)
+                slopes[k] = fixed_deriv("softmax", v)
             else:
                 vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], lam, inner, adapt_p)
                 v = np.array(vl)
             outs[k + 1] = v
 
-        err = v - Y[i]
-        if n_implicit < m:
-            deltas[m - 1] = err * v * (1.0 - v)
-        else:
-            deltas[m - 1] = err * slopes[m - 1]
-            if adapt_p:
-                pgs[m - 1] = err * sens[m - 1]
-        for k in range(m - 1, 0, -1):
-            S = deltas[k] @ net.weights[k][:, 1:]
-            if adapt_p:
-                pgs[k - 1] = S * sens[k - 1]
-            deltas[k - 1] = S * slopes[k - 1]
+        S = v - Y[i]  # dE/dv of layer k, per pair
+        for k in range(m - 1, -1, -1):
+            if adapt_p and k < n_implicit:
+                pgs[k] = S * sens[k]
+            deltas[k] = S * slopes[k]
+            if k:
+                S = deltas[k] @ net.weights[k][:, 1:]
 
         for k in range(m):
             d = deltas[k]

@@ -2,6 +2,8 @@
 layers carry fixed activation kinds and run through the shared forward
 pass, backprop, training loop and model format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -42,19 +44,32 @@ class TestFixedEval:
         with pytest.raises(ValueError):
             fixed_eval("relu", np.zeros(3))
         with pytest.raises(ValueError):
-            fixed_deriv("softmax", np.zeros(3))
-        with pytest.raises(ValueError):
             fixed_eval("implicit", np.zeros(3))
+        with pytest.raises(ValueError):
+            fixed_deriv("implicit", np.zeros(3))
+
+    def test_tansig_saturates_without_overflow(self):
+        # The logistic form 2/(1+exp(-2a)) - 1 overflowed exp for a <= -355.
+        a = np.array([-400.0, 400.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = fixed_eval("tansig", a)
+            slope = fixed_deriv("tansig", v)
+        assert_array_equal(v, [-1.0, 1.0])
+        assert_array_equal(slope, [0.0, 0.0])
 
 
 class TestFixedDeriv:
+    # fixed_deriv takes the layer output v, not the pre-activation.
     def test_hand_values(self):
         assert fixed_deriv("satlins", np.array(0.0)) == 1.0
-        assert fixed_deriv("satlins", np.array(5.0)) == 0.0
+        assert fixed_deriv("satlins", np.array(0.5)) == 1.0
         assert fixed_deriv("satlins", np.array(1.0)) == 0.0
         assert fixed_deriv("satlins", np.array(-1.0)) == 0.0
         assert fixed_deriv("tansig", np.array(0.0)) == 1.0
+        assert fixed_deriv("tansig", np.array(0.5)) == 0.75
         assert fixed_deriv("purelin", np.array(3.7)) == 1.0
+        assert_array_equal(fixed_deriv("softmax", np.array([[0.5, 0.25, 0.25]])), [[0.25, 0.1875, 0.1875]])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(54)
@@ -68,7 +83,20 @@ class TestFixedDeriv:
                 float(fixed_eval(kind, np.array(a + h)))
                 - float(fixed_eval(kind, np.array(a - h)))
             ) / (2 * h)
-            assert rel_err(float(fixed_deriv(kind, np.array(a))), fd) <= 1e-5
+            assert rel_err(float(fixed_deriv(kind, fixed_eval(kind, np.array(a)))), fd) <= 1e-5
+
+    def test_softmax_matches_finite_differences_in_own_logit(self):
+        rng = np.random.default_rng(60)
+        h = 1e-6
+        for _ in range(N_CASES):
+            a = rng.uniform(-3, 3, (1, 4))
+            slope = fixed_deriv("softmax", fixed_eval("softmax", a))
+            for j in range(a.shape[1]):
+                up, dn = a.copy(), a.copy()
+                up[0, j] += h
+                dn[0, j] -= h
+                fd = (fixed_eval("softmax", up)[0, j] - fixed_eval("softmax", dn)[0, j]) / (2 * h)
+                assert rel_err(float(slope[0, j]), float(fd)) <= 1e-5
 
 
 # Both constructors draw the same Nguyen-Widrow weights.

@@ -366,6 +366,19 @@ class TestTrainEvalCommands:
         assert f"dataset task {other!r} does not match network head {head!r}" in captured.err
         assert captured.out == ""
 
+    def test_eval_on_malformed_model_is_usage_error(self, tmp_path, capsys):
+        # A "lambda" line with no value once raised IndexError: a traceback
+        # and exit 1, the code for a diverged run.
+        model_path, data_path = tmp_path / "model.txt", str(tmp_path / "data.csv")
+        save_network(init_network([1, 3, 1], "regression", 1.0, 2.0, seed=0), str(model_path))
+        text = model_path.read_text(encoding="utf-8")
+        model_path.write_text(text.replace("lambda 1\n", "lambda\n"), encoding="utf-8")
+        save_csv(gen_square(6, seed=5), data_path)
+        assert main(["eval", "--model", str(model_path), "--data", data_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model_path} line 3: cannot read 'lambda'\n"
+        assert captured.out == ""
+
     def test_missing_files_are_usage_errors(self, tmp_path):
         cfg_path, data_path = self.write_inputs(tmp_path)
         assert main(["train", "--config", str(tmp_path / "nope.json"),

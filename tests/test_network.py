@@ -1,5 +1,7 @@
 """Tests for the network container, forward evaluation and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -295,6 +297,31 @@ class TestSerialization:
         bad.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_network(str(bad))
+
+    @pytest.mark.parametrize(
+        "baseline, key, line",
+        [
+            (False, "head", "head"),
+            (False, "lambda", "lambda"),
+            (False, "lambda", "lambda abc"),
+            (False, "layer_sizes", "layer_sizes 2 1.5 1"),
+            (True, "activation", "activation"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, baseline, key, line):
+        # Such lines once escaped as a bare IndexError or ValueError.
+        if baseline:
+            net = nguyen_widrow_init([2, 3, 1], "regression", seed=0)
+        else:
+            net = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.0, seed=0)
+        path = tmp_path / "model.txt"
+        save_network(net, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, text in enumerate(lines) if text.split()[0] == key)
+        lines[i] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line {i + 1}: "):
+            load_network(str(path))
 
 
 # One v1 model file of each kind, with the predictions on V1_INPUTS, as
