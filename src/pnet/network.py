@@ -305,7 +305,8 @@ class _LineReader:
         self.pos = 0
         self.path = path
 
-    def next(self, expect: str | None = None) -> list[str]:
+    def next(self, expect: str | None = None, count: int | None = None) -> list[str]:
+        """The fields of the next non-blank line: keyword ``expect``, then ``count`` values."""
         while self.pos < len(self.lines) and not self.lines[self.pos].strip():
             self.pos += 1
         if self.pos >= len(self.lines):
@@ -314,7 +315,12 @@ class _LineReader:
         self.pos += 1
         if expect is not None and fields[0] != expect:
             raise ModelFormatError(f"{self.path} line {self.pos}: expected '{expect}', got '{fields[0]}'")
+        if count is not None and len(fields) != count + 1:
+            raise self.bad_line()
         return fields
+
+    def bad_line(self) -> ModelFormatError:
+        return ModelFormatError(f"{self.path} line {self.pos}: cannot read {self.lines[self.pos - 1].strip()!r}")
 
     def floats(self, fields: list[str], n: int, what: str) -> np.ndarray:
         if len(fields) != n:
@@ -352,38 +358,41 @@ def load_network(path: str) -> PNetwork:
     """Load a model saved in either the ``pnetwork 1`` or ``baseline 1`` format.
 
     A line that does not parse raises `ModelFormatError` naming the file
-    and line; a net that parses but breaks a `PNetwork.validate` rule
+    and line.  So does a version other than 1, a ``layer`` line whose
+    index is not its place in the file, a ``head``, ``lambda``, ``layer``
+    or ``activation`` line without exactly one value, and an ``end`` line
+    with any.  A net that parses but breaks a `PNetwork.validate` rule
     raises its ValueError.
     """
     r = _LineReader(path)
-    tag = r.next()[0]
-    if tag not in ("pnetwork", "baseline"):
-        raise ModelFormatError(f"{path}: unknown model tag {tag!r}")
-    implicit = tag == "pnetwork"
+    tag = r.next(count=1)
+    if tag not in (["pnetwork", "1"], ["baseline", "1"]):
+        raise r.bad_line()
+    implicit = tag[0] == "pnetwork"
     try:
-        head = r.next("head")[1]
-        lam = float(r.next("lambda")[1]) if implicit else 0.0
+        head = r.next("head", 1)[1]
+        lam = float(r.next("lambda", 1)[1]) if implicit else 0.0
         sizes = [int(v) for v in r.next("layer_sizes")[1:]]
         weights, kinds = [], []
         p_values: list[np.ndarray | None] = []
         for k in range(len(sizes) - 1):
-            r.next("layer")
+            if r.next("layer", 1)[1] != str(k + 1):
+                raise r.bad_line()
             if implicit:
                 pf = r.next("p")[1:]
                 kind = pf[0] if len(pf) == 1 and pf[0] in ACTIVATION_KINDS else "implicit"
                 p_values.append(r.floats(pf, sizes[k + 1], "p") if kind == "implicit" else None)
             else:
-                kind = r.next("activation")[1]
+                kind = r.next("activation", 1)[1]
                 p_values.append(None)
             kinds.append(kind)
             rows = [r.floats(r.next("w")[1:], sizes[k] + 1, "weights") for _ in range(sizes[k + 1])]
             weights.append(np.array(rows))
     except ModelFormatError:
         raise
-    except (IndexError, ValueError) as exc:
-        # A line missing its value, or a value that is not a number.
-        raise ModelFormatError(f"{path} line {r.pos}: cannot read {r.lines[r.pos - 1].strip()!r}") from exc
-    r.next("end")
+    except ValueError as exc:  # a value that is not a number
+        raise r.bad_line() from exc
+    r.next("end", 0)
     net = PNetwork(layer_sizes=sizes, weights=weights, activations=kinds, p_values=p_values, lam=lam, head=head)
     net.validate()
     return net

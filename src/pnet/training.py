@@ -22,7 +22,7 @@ from .activation import (
     dv_da_many,
     dv_dp_many,
     fixed_deriv,
-    softmax,
+    fixed_eval,
 )
 from .data import Dataset
 from .network import ForwardTrace, PNetwork, forward_batch
@@ -194,66 +194,55 @@ def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, trac
 
 
 def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool) -> None:
-    """One cycle of per-pair updates, in dataset order.
+    """One cycle of per-pair updates, in dataset order, for nets of every kind.
 
-    Every layer is implicit except possibly a softmax output.  Each
-    pair's gradients are all taken at the parameters it found (backward
-    sweep completes before any update), then applied at once.  The
-    forward sweep solves each implicit layer with `_scalar_layer`, which
-    also returns the slopes and p-sensitivities the backward sweep
-    needs.  That plain-Python route is about six times faster than array
-    calls on ex2a's layers of 1 to 10 neurons; numpy is kept for the
-    per-pair matrix products and the weight step.  Every solve starts
-    cold, so the pass reads nothing but the net and the data.  The p
-    values live in Python lists during the pass and are written back to
-    ``net.p_values`` at its end.
+    The forward sweep treats each layer by its kind, as `forward_batch`
+    does.  A layer with p is solved by `_scalar_layer`, which also
+    returns the slopes and p-sensitivities the backward sweep needs;
+    that plain-Python route is about six times faster than array calls
+    on ex2a's layers of 1 to 10 neurons.  A fixed-kind layer is
+    `fixed_eval` followed by `fixed_deriv` at its output.  The backward
+    sweep, at layer k, forms the delta, steps and clamps p, passes the
+    error back through the old weights and only then steps them, so each
+    pair's gradients are all taken at the parameters it found.  Every
+    solve starts cold, so the pass reads nothing but the net and the
+    data.  The p values live in Python lists during the pass and are
+    written back to ``net.p_values`` at its end.
     """
     m = net.n_layers
-    n = X.shape[0]
-    lam = net.lam
     aw, ap = cfg.alpha_w, cfg.alpha_p
-    inner = cfg.inner_iters
-    # Layers 0 .. n_implicit-1 are implicit; a softmax output follows them.
-    n_implicit = m - 1 if net.activations[-1] == "softmax" else m
-    ps = [net.p_values[k].tolist() for k in range(n_implicit)]
-
+    ps = [None if pk is None else pk.tolist() for pk in net.p_values]
     outs = [None] * (m + 1)
     slopes = [None] * m
-    sens = [None] * n_implicit
-    deltas = [None] * m
-    pgs = [None] * n_implicit
-    for i in range(n):
-        v = X[i]
-        outs[0] = v
-        for k in range(m):
+    sens = [None] * m
+    for x, y in zip(X, Y):
+        v = outs[0] = x
+        for k, kind in enumerate(net.activations):
             W = net.weights[k]
             a = W[:, 1:] @ v + W[:, 0]
-            if k == n_implicit:
-                v = softmax(a)
-                slopes[k] = fixed_deriv("softmax", v)
+            if ps[k] is None:
+                v = fixed_eval(kind, a)
+                slopes[k] = fixed_deriv(kind, v)
             else:
-                vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], lam, inner, adapt_p)
+                vl, slopes[k], sens[k] = _scalar_layer(a.tolist(), ps[k], net.lam, cfg.inner_iters, adapt_p)
                 v = np.array(vl)
             outs[k + 1] = v
 
-        S = v - Y[i]  # dE/dv of layer k, per pair
+        S = v - y  # dE/dv of layer k, per pair
         for k in range(m - 1, -1, -1):
-            if adapt_p and k < n_implicit:
-                pgs[k] = S * sens[k]
-            deltas[k] = S * slopes[k]
-            if k:
-                S = deltas[k] @ net.weights[k][:, 1:]
-
-        for k in range(m):
-            d = deltas[k]
-            net.weights[k] -= aw * (d[:, None] * np.concatenate(([1.0], outs[k])))
-            if adapt_p and k < n_implicit:
+            delta = S * slopes[k]
+            if adapt_p and ps[k] is not None:
                 pk = ps[k]
-                for j, step in enumerate((ap * pgs[k]).tolist()):
+                for j, step in enumerate((ap * (S * sens[k])).tolist()):
                     pk[j] = min(max(pk[j] - step, P_MIN), P_MAX)
+            W = net.weights[k]
+            if k:
+                S = delta @ W[:, 1:]
+            W -= aw * (delta[:, None] * np.concatenate(([1.0], outs[k])))
     if adapt_p:
-        for k in range(n_implicit):
-            net.p_values[k][:] = ps[k]
+        for pk, new in zip(net.p_values, ps):
+            if new is not None:
+                pk[:] = new
 
 
 def _warm_start(trace: ForwardTrace | None, older: list[tuple[int, np.ndarray]] | None) -> ForwardTrace | None:
@@ -297,10 +286,9 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     parameters.  Stops after ``max_iters`` iterations, as soon as the
     measured error drops below ``max_error``, or (batch only) before an
     update whose weight gradients are all below ``max_gradient``;
-    raises `TrainingDivergedError` if a weight or the error becomes
-    non-finite or an update pass overflows.  The dataset must pass
-    `check_dataset`, and incremental updates need every layer implicit
-    except a softmax output.
+    raises `TrainingDivergedError` if a weight, a pre-activation or the
+    error becomes non-finite or an update pass overflows.  The dataset
+    must pass `check_dataset`; both update modes take nets of every kind.
 
     Batch training carries the last measurement's trace between
     iterations, plus the implicit-layer outputs of the one before it.  A
@@ -318,8 +306,6 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     after every pair, so the measurement after it starts cold too.
     """
     check_dataset(net, data)
-    if cfg.update == "incremental" and not set(net.activations) <= {"implicit", "softmax"}:
-        raise ValueError(f"incremental updates need implicit layers, got {net.activations}")
     net = net.copy()
     X, Y = data.inputs, data.targets
     adapt_p = cfg.alpha_p > 0 and any(pk is not None for pk in net.p_values)
@@ -342,12 +328,12 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
             raise TrainingDivergedError(f"overflow in update pass {it + 1}") from exc
         if not all(np.all(np.isfinite(W)) for W in net.weights):
             raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-        if batch:
-            newer = forward_batch(net, X, cfg.inner_iters, start=_warm_start(trace, older))
-            older = None if trace is None else [(i, trace.outputs[i]) for i in implicit]
-            trace = newer
-        else:
-            trace = forward_batch(net, X, cfg.inner_iters)
+        try:
+            newer = forward_batch(net, X, cfg.inner_iters, start=_warm_start(trace, older) if batch else None)
+        except ValueError as exc:  # inputs are checked, so an overflowed pre-activation
+            raise TrainingDivergedError(f"non-finite pre-activation after iteration {it + 1}") from exc
+        older = None if not batch or trace is None else [(i, trace.outputs[i]) for i in implicit]
+        trace = newer
         e = mse(trace.outputs[-1], Y)
         if not np.isfinite(e):
             raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")

@@ -285,11 +285,6 @@ class TestTrainFixed:
         with pytest.raises(ValueError):
             train(net, self.toy(16), TrainConfig(0.1, 0.0, 5, 1e-3, max_gradient=-1.0))
 
-    def test_incremental_rejected(self):
-        net = nguyen_widrow_init([1, 4, 1], "regression", seed=16)
-        with pytest.raises(ValueError, match="incremental"):
-            train(net, self.toy(16), TrainConfig(0.1, 0.0, 5, 1e-3, update="incremental"))
-
     def test_classification_training_runs(self):
         rng = np.random.default_rng(58)
         X = rng.standard_normal((40, 2))

@@ -23,7 +23,7 @@ from pnet.cli import (
 )
 from pnet.data import Dataset, gen_activity_standin, gen_square, load_csv, save_csv
 from pnet.network import forward_batch, init_network, load_network, save_network
-from pnet.training import mse
+from pnet.training import UPDATE_MODES, mse
 
 
 def two_target_rows(task):
@@ -378,6 +378,23 @@ class TestTrainEvalCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {model_path} line 3: cannot read 'lambda'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("update", UPDATE_MODES)
+    def test_diverged_run_exits_1(self, tmp_path, capsys, update):
+        # A batch run whose pre-activations overflowed once exited 2, the
+        # usage-error code, on the solver's bare ValueError.
+        cfg_path, data_path = self.write_inputs(tmp_path, update)
+        with open(cfg_path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "layer_sizes": [1, 3, 1], "alpha_w": 1e300, "max_iterations": 5}, fh)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", cfg_path, "--data", data_path, "--model", str(tmp_path / "m.txt")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "after iteration 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(tmp_path / "m.txt")
 
     def test_missing_files_are_usage_errors(self, tmp_path):
         cfg_path, data_path = self.write_inputs(tmp_path)

@@ -306,6 +306,13 @@ class TestSerialization:
             (False, "lambda", "lambda abc"),
             (False, "layer_sizes", "layer_sizes 2 1.5 1"),
             (True, "activation", "activation"),
+            (False, "pnetwork", "pnetwork 99"),
+            (True, "baseline", "baseline"),
+            (False, "layer", "layer 7"),
+            (False, "head", "head regression extra"),
+            (False, "lambda", "lambda 1 2"),
+            (True, "activation", "activation satlins purelin"),
+            (False, "end", "end now"),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, baseline, key, line):
@@ -321,6 +328,26 @@ class TestSerialization:
         lines[i] = line
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line {i + 1}: "):
+            load_network(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        net = init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.5, seed=3)
+        path = tmp_path / "model.txt"
+        save_network(net, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n\n".join(lines) + "\n  \n\n", encoding="utf-8")
+        back = load_network(str(path))
+        for a, b in zip(net.weights + net.p_values, back.weights + back.p_values):
+            assert a.tobytes() == b.tobytes()
+
+    def test_bad_number_names_file_and_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_network(init_network([2, 3, 1], "regression", lam=1.0, initial_p=2.5, seed=3), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, text in enumerate(lines) if text.startswith("w "))
+        lines[i] = "w abc " + " ".join(lines[i].split()[2:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line {i + 1}: bad number"):
             load_network(str(path))
 
 

@@ -253,6 +253,16 @@ class TestTrainBatch:
         if update == "incremental":
             assert isinstance(info.value.__cause__, OverflowError)
 
+    @pytest.mark.parametrize("update", UPDATE_MODES)
+    def test_overflowed_pre_activation_raises_diverged(self, update):
+        # One step leaves the weights finite, but the hidden outputs times
+        # them overflow: the measurement's solve once raised a bare
+        # ValueError on its infinite input.
+        net = init_network([1, 3, 1], "regression", 1.0, 2.0, seed=0)
+        cfg = TrainConfig(alpha_w=1e300, alpha_p=0.0, max_iters=5, max_error=1e-300, update=update)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError, match="iteration 1$"):
+            train(net, toy_regression(seed=0), cfg)
+
     def test_determinism(self):
         net = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.5, seed=10)
         data = toy_regression(seed=10)
@@ -452,6 +462,31 @@ class TestTrainIncremental:
         cfg = TrainConfig(0.5, 2.0, 3, 1e-300, inner_iters=100, update="incremental")
         trained = self._check_against_reference(net, Dataset(X, Y, "classification"), cfg)
         assert not np.array_equal(net.p_values[0], trained.p_values[0])
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("satlins", "purelin"), ("tansig", "purelin"), ("tansig", "softmax"), ("implicit", "purelin")],
+        ids="-".join,
+    )
+    def test_three_passes_match_reference_any_kinds(self, kinds):
+        # Fixed-kind and mixed nets take the same per-pair pass.
+        rng = np.random.default_rng(23)
+        X = 2.0 * rng.standard_normal((20, 2))
+        if kinds[-1] == "softmax":
+            Y = np.zeros((20, 2))
+            Y[np.arange(20), (X[:, 0] > 0).astype(int)] = 1.0
+            data = Dataset(X, Y, "classification")
+        else:
+            data = Dataset(X, np.tanh(X[:, ::-1]), "regression")
+        net = nguyen_widrow_init([2, 4, 2], data.task, seed=23)
+        net.activations = list(kinds)
+        if kinds[0] == "implicit":
+            net.p_values[0], net.lam = np.full(4, 2.5), 1.0
+        net.validate()
+        cfg = TrainConfig(0.2, 2.0, 3, 1e-300, inner_iters=100, update="incremental")
+        trained = self._check_against_reference(net, data, cfg)
+        for before, after in zip(net.weights + net.p_values, trained.weights + trained.p_values):
+            assert (before is None and after is None) or not np.array_equal(before, after)
 
     def test_single_sample_matches_batch(self):
         # With one training pair the mean gradient equals the pair
