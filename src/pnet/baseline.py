@@ -6,7 +6,8 @@ layers carry fixed activation kinds; they are built by
 `pnet.network.forward_batch`, `pnet.training.backprop_batch` and
 `pnet.training.train`.  The benchmark's worker and tracer
 (``perfbench/worker.py``, ``perfbench/tracing.py``) still look these names
-up here; the module goes once they use the names above.
+up here; the module goes once they use the names above.  `train_fixed`
+keeps a ``max_gradient`` keyword only for the worker's ``max_gradient=0.0``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ backprop_batch_fixed = backprop_batch
 
 
 def train_fixed(
-    net: PNetwork, data: Dataset, cfg: TrainConfig, max_gradient: float = 1e-4
+    net: PNetwork, data: Dataset, cfg: TrainConfig, max_gradient: float = 0.0
 ) -> tuple[PNetwork, TrainLog]:
-    """`train` with full-batch updates and the gradient-norm stop ``max_gradient``."""
-    return train(net, data, replace(cfg, update="batch", max_gradient=max_gradient))
+    """`train` with full-batch updates; ``max_gradient`` must be 0, as training stops on its budget or error only."""
+    if max_gradient != 0:
+        raise ValueError(f"max_gradient must be 0, got {max_gradient!r}")
+    return train(net, data, replace(cfg, update="batch"))

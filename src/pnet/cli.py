@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .activation import ActivationParams, dv_da_many, evaluate_many
-from .data import FITS, Dataset, gen_activity_standin, gen_fit, load_csv, save_csv, split_train_test
+from .data import FITS, TASKS, Dataset, gen_activity_standin, gen_fit, load_csv, save_csv, split_train_test
 from .network import fmt_float, forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from .oracle import check_network_gradients, random_check_case
 from .training import (
@@ -54,7 +54,7 @@ def default_out_dir() -> str:
 # head is the data's task, so it has no key, and a fit is predicted on a
 # grid of `grid_points` spanning data_lo..data_hi.  The baseline variant
 # has no keys of its own: it takes `nguyen_widrow_init`'s kinds for the
-# head (satlins/purelin or tansig/softmax) and stops at BASELINE_MAX_GRADIENT.
+# head (satlins/purelin or tansig/softmax) and always takes full-batch steps.
 EXPERIMENTS: dict[str, dict] = {
     # Sign fit: adaptive p only, starting from the explicit p=2 regime.
     # `data` may switch to any of FITS, since the fits read the same keys.
@@ -118,7 +118,6 @@ EXPERIMENTS: dict[str, dict] = {
 EXPERIMENTS["ex2b"] = {**EXPERIMENTS["ex2a"], "data": "abs"}
 
 VARIANTS = ("frozen", "adaptive", "baseline")
-BASELINE_MAX_GRADIENT = 1e-4
 
 # The training keys every `EXPERIMENTS` entry has, plus the init seed.
 _TRAIN_CONFIG_DEFAULTS = {
@@ -141,12 +140,15 @@ def _one_of(choices: tuple) -> tuple:
 
 # Every config key's JSON type, as (description, test).  JSON numbers load as
 # exact ints and floats, so testing type() also rejects booleans.  Ranges are
-# left to `TrainConfig`, `PNetwork.validate` and the data generators.
+# left to `TrainConfig`, `PNetwork.validate` and the data generators, except
+# that a seed must be non-negative: numpy rejects it without naming the key.
 _INT = ("an integer", lambda v: type(v) is int)
+_SEED = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _NUMBER = ("a number", lambda v: type(v) in (int, float))
 _KEY_TYPES = {
-    **dict.fromkeys(["max_iterations", "seed", "data_n", "grid_points",
-                     "pool_per_class", "pool_seed", "train_per_class", "test_total"], _INT),
+    **dict.fromkeys(["max_iterations", "data_n", "grid_points", "pool_per_class", "train_per_class",
+                     "test_total"], _INT),
+    **dict.fromkeys(["seed", "pool_seed"], _SEED),
     **dict.fromkeys(["lambda", "initial_p_hidden", "alpha_w", "alpha_p", "max_error",
                      "data_lo", "data_hi"], _NUMBER),
     "initial_p_output": ("a number or null", lambda v: v is None or _NUMBER[1](v)),
@@ -213,16 +215,14 @@ def _build_variant(cfg: dict, variant: str, seed: int, head: str):
         raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, got {variant!r}")
     if variant == "baseline":
         net = nguyen_widrow_init(cfg["layer_sizes"], head, seed=seed)
-        alpha_p, update, max_gradient = 0.0, "batch", BASELINE_MAX_GRADIENT
+        alpha_p, update = 0.0, "batch"
     else:
         net = init_network(cfg["layer_sizes"], head, cfg["lambda"], cfg["initial_p_hidden"],
                            seed=seed, initial_p_output=cfg["initial_p_output"])
         alpha_p = cfg["alpha_p"] if variant == "adaptive" else 0.0
-        update, max_gradient = cfg["update"], 0.0
-    return net, TrainConfig(
-        alpha_w=cfg["alpha_w"], alpha_p=alpha_p, max_iters=cfg["max_iterations"], max_error=cfg["max_error"],
-        update=update, max_gradient=max_gradient,
-    )
+        update = cfg["update"]
+    return net, TrainConfig(alpha_w=cfg["alpha_w"], alpha_p=alpha_p, max_iters=cfg["max_iterations"],
+                            max_error=cfg["max_error"], update=update)
 
 
 def _train_variant(cfg: dict, variant: str, seed: int, data: Dataset):
@@ -256,6 +256,8 @@ def run_experiment(
         raise ValueError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cfg = _parse_overrides(overrides, EXPERIMENTS[name])
     # The fits all read one key set and activity reads another, so `data` stays in its canned family.
     family = tuple(FITS) if EXPERIMENTS[name]["data"] in FITS else ("activity",)
@@ -372,6 +374,13 @@ def _parse_layer_spec(spec: str) -> list[int]:
     return sizes
 
 
+def _seed_flag(text: str) -> int:
+    """The argparse type of ``--seed``: numpy rejects a negative seed without naming the flag."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def cmd_experiment(args) -> int:
     run_experiment(args.name, args.out, args.repetitions, args.seed, args.set)
     return 0
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--out", default=None, help="output directory (default: $PNET_OUT or ./pnet_out)")
     p_exp.add_argument("--repetitions", type=int, default=5)
-    p_exp.add_argument("--seed", type=int, default=1, help="first seed; repetitions use seed, seed+1, ...")
+    p_exp.add_argument("--seed", type=_seed_flag, default=1, help="first seed; repetitions use seed, seed+1, ...")
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key (JSON value)")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -452,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="compare backprop gradients against finite differences")
     p_gc.add_argument("--layers", default="2-3-2", help="layer sizes, e.g. 2-3-2")
-    p_gc.add_argument("--head", choices=["regression", "classification"], default="regression")
+    p_gc.add_argument("--head", choices=TASKS, default="regression")
     p_gc.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_gc.add_argument("--initial-p", type=float, default=2.5)
-    p_gc.add_argument("--seed", type=int, default=1)
+    p_gc.add_argument("--seed", type=_seed_flag, default=1)
     p_gc.add_argument("--samples", type=int, default=5)
     p_gc.add_argument("--h", type=float, default=None, help="finite-difference step (default: scaled 1e-6)")
     p_gc.add_argument("--tol", type=float, default=1e-3)

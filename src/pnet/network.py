@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import ACTIVATION_KINDS, P_MAX, P_MIN, evaluate_many, fixed_eval, softmax
+from .data import TASKS
 
 __all__ = [
     "HEADS",
@@ -39,7 +40,7 @@ __all__ = [
     "load_network",
 ]
 
-HEADS = ("regression", "classification")
+HEADS = TASKS  # a net's head is the task of the data it trains on
 
 
 @dataclass

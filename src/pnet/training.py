@@ -50,9 +50,8 @@ class TrainConfig:
     ``update`` selects how the gradient step is applied: ``"batch"``
     averages gradients over the whole training set before each update,
     ``"incremental"`` applies one update per training pair, cycling
-    through the set in order once per iteration.  ``max_gradient`` stops
-    batch training before an update whose largest weight-gradient
-    magnitude is below it; the default 0 never stops.
+    through the set in order once per iteration.  Training stops after
+    ``max_iters`` iterations or once the error drops below ``max_error``.
     """
 
     alpha_w: float
@@ -61,10 +60,9 @@ class TrainConfig:
     max_error: float
     inner_iters: int = 100
     update: str = "batch"
-    max_gradient: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_w", "alpha_p", "max_error", "max_gradient"):
+        for name in ("alpha_w", "alpha_p", "max_error"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (np.isfinite(self.alpha_w) and self.alpha_w > 0):
@@ -79,10 +77,6 @@ class TrainConfig:
             raise ValueError(f"max_error must be finite and > 0, got {self.max_error}")
         if self.update not in UPDATE_MODES:
             raise ValueError(f"update must be one of {UPDATE_MODES}, got {self.update!r}")
-        if not (np.isfinite(self.max_gradient) and self.max_gradient >= 0):
-            raise ValueError(f"max_gradient must be finite and >= 0, got {self.max_gradient}")
-        if self.max_gradient > 0 and self.update != "batch":
-            raise ValueError("max_gradient applies to batch updates only")
 
 
 @dataclass
@@ -101,7 +95,7 @@ class TrainLog:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the batch error or a parameter becomes non-finite, or an update overflows."""
+    """Raised when the batch error or a parameter becomes non-finite, or training arithmetic overflows."""
 
 
 def mse(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -172,25 +166,17 @@ def _p_snapshot(net: PNetwork) -> np.ndarray:
     return np.concatenate([pk for pk in net.p_values if pk is not None])
 
 
-def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, trace: ForwardTrace | None) -> bool:
-    """One full-batch update: mean gradients at the current parameters.
-
-    ``trace`` is a forward pass of ``X`` at those parameters, or None to
-    run one cold.  Returns True, without updating, when the largest
-    weight-gradient magnitude is below ``cfg.max_gradient``.
-    """
+def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, trace: ForwardTrace | None) -> None:
+    """One mean-gradient step from ``trace``, a pass of ``X`` at the current parameters, or a cold one if None."""
     if trace is None:
         trace = forward_batch(net, X, cfg.inner_iters)
     wg, pg = backprop_batch(net, trace, Y, compute_p=adapt_p)
-    if cfg.max_gradient > 0 and max(np.max(np.abs(g)) for g in wg) < cfg.max_gradient:
-        return True
     for k in range(net.n_layers):
         net.weights[k] -= cfg.alpha_w * wg[k]
         if adapt_p and pg[k] is not None:
             pk = net.p_values[k]
             pk -= cfg.alpha_p * pg[k]
             np.clip(pk, P_MIN, P_MAX, out=pk)
-    return False
 
 
 def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool) -> None:
@@ -283,12 +269,12 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     a mean-gradient step for ``update="batch"``, a cycle of per-pair
     steps for ``update="incremental"`` — with every p clipped to its
     valid range, then measures the whole-set error at the new
-    parameters.  Stops after ``max_iters`` iterations, as soon as the
-    measured error drops below ``max_error``, or (batch only) before an
-    update whose weight gradients are all below ``max_gradient``;
-    raises `TrainingDivergedError` if a weight, a pre-activation or the
-    error becomes non-finite or an update pass overflows.  The dataset
-    must pass `check_dataset`; both update modes take nets of every kind.
+    parameters.  Stops after ``max_iters`` iterations or once the error
+    drops below ``max_error``, so the log holds at least one error.  An
+    overflow or invalid operation, which numpy raises here rather than
+    warns, or a non-finite weight or error raises `TrainingDivergedError`.
+    The dataset must pass `check_dataset`; both update modes take nets of
+    every kind.
 
     Batch training carries the last measurement's trace between
     iterations, plus the implicit-layer outputs of the one before it.  A
@@ -317,31 +303,28 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     p_rows: list[np.ndarray] = []
     trace = older = None
     implicit = [k + 1 for k, kind in enumerate(net.activations) if kind == "implicit"]
-    for it in range(cfg.max_iters):
+    with np.errstate(over="raise", invalid="raise"):
         try:
-            if batch:
-                if _apply_batch_pass(net, X, Y, cfg, adapt_p, trace):
+            for it in range(cfg.max_iters):
+                if batch:
+                    _apply_batch_pass(net, X, Y, cfg, adapt_p, trace)
+                else:
+                    _apply_incremental_pass(net, X, Y, cfg, adapt_p)
+                if not all(np.all(np.isfinite(W)) for W in net.weights):
+                    raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
+                newer = forward_batch(net, X, cfg.inner_iters, start=_warm_start(trace, older) if batch else None)
+                older = None if not batch or trace is None else [(i, trace.outputs[i]) for i in implicit]
+                trace = newer
+                e = mse(trace.outputs[-1], Y)
+                if not np.isfinite(e):
+                    raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")
+                errors.append(e)
+                if track_p:
+                    p_rows.append(_p_snapshot(net))
+                if e < cfg.max_error:
                     break
-            else:
-                _apply_incremental_pass(net, X, Y, cfg, adapt_p)
-        except OverflowError as exc:  # Python float arithmetic raises where numpy gives inf
-            raise TrainingDivergedError(f"overflow in update pass {it + 1}") from exc
-        if not all(np.all(np.isfinite(W)) for W in net.weights):
-            raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-        try:
-            newer = forward_batch(net, X, cfg.inner_iters, start=_warm_start(trace, older) if batch else None)
-        except ValueError as exc:  # inputs are checked, so an overflowed pre-activation
-            raise TrainingDivergedError(f"non-finite pre-activation after iteration {it + 1}") from exc
-        older = None if not batch or trace is None else [(i, trace.outputs[i]) for i in implicit]
-        trace = newer
-        e = mse(trace.outputs[-1], Y)
-        if not np.isfinite(e):
-            raise TrainingDivergedError(f"non-finite training error after iteration {it + 1}")
-        errors.append(e)
-        if track_p:
-            p_rows.append(_p_snapshot(net))
-        if e < cfg.max_error:
-            break
+        except (OverflowError, FloatingPointError) as exc:  # Python floats raise one, numpy the other here
+            raise TrainingDivergedError(f"overflow or invalid value after iteration {it + 1}") from exc
 
     log = TrainLog(
         errors=np.array(errors),

@@ -90,8 +90,8 @@ class TestOverrides:
                                            ("ex2a", "grid_hi"), ("ex3", "data_n"),
                                            ("ex2a", "activation_iterations")])
     def test_unread_keys_are_usage_errors(self, tmp_path, capsys, name, key):
-        # No code reads a weight-init scheme, the baseline's kinds and
-        # gradient stop are fixed, the head is the data's task, a fit's grid
+        # No code reads a weight-init scheme, the baseline's kinds are
+        # fixed and it has no gradient stop, the head is the data's task, a fit's grid
         # spans its data range, ex3's activity data has no sample count, and
         # each activation solve stops by its own rule, so no config offers
         # these keys.
@@ -155,6 +155,33 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, key, raw, cl
     err = capsys.readouterr().err
     assert key in err and "must be" in err, err
     assert not out.exists()
+
+
+# numpy rejects a negative seed with "expected non-negative integer", which
+# names no key or flag, so each entry point names its own before writing.
+def test_negative_seed_config_key_is_named(tmp_path, capsys):
+    data_path, cfg_path, out = str(tmp_path / "train.csv"), tmp_path / "config.json", tmp_path / "m.txt"
+    save_csv(gen_square(10, seed=3), data_path)
+    cfg_path.write_text(json.dumps({"layer_sizes": [1, 3, 1], "seed": -1}), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--data", data_path, "--model", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config key 'seed' must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_negative_pool_seed_override_is_named(tmp_path, capsys):
+    assert main(["experiment", "ex3", "--out", str(tmp_path), "--repetitions", "1", "--set", "pool_seed=-1"]) == 2
+    assert capsys.readouterr().err == "error: config key 'pool_seed' must be a non-negative integer, got -1\n"
+    assert not os.path.exists(tmp_path / "ex3")
+
+
+@pytest.mark.parametrize("command", [["experiment", "ex1", "--repetitions", "1"], ["gradcheck"]])
+def test_negative_seed_flag_is_named(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--seed", "-1", *(["--out", str(tmp_path)] if command[0] == "experiment" else [])])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be an integer >= 0, got '-1'" in captured.err
+    assert captured.out == "" and not os.listdir(tmp_path)
 
 
 # (experiment, --set items, what the message must name).  A data kind whose
@@ -382,18 +409,17 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("update", UPDATE_MODES)
     def test_diverged_run_exits_1(self, tmp_path, capsys, update):
         # A batch run whose pre-activations overflowed once exited 2, the
-        # usage-error code, on the solver's bare ValueError.
+        # usage-error code, on the solver's bare ValueError; both modes
+        # once printed numpy's overflow warning ahead of the error line.
         cfg_path, data_path = self.write_inputs(tmp_path, update)
         with open(cfg_path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         with open(cfg_path, "w", encoding="utf-8") as fh:
             json.dump({**cfg, "layer_sizes": [1, 3, 1], "alpha_w": 1e300, "max_iterations": 5}, fh)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--config", cfg_path, "--data", data_path, "--model", str(tmp_path / "m.txt")])
+        code = main(["train", "--config", cfg_path, "--data", data_path, "--model", str(tmp_path / "m.txt")])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "after iteration 1" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == "error: overflow or invalid value after iteration 1\n"
         assert not os.path.exists(tmp_path / "m.txt")
 
     def test_missing_files_are_usage_errors(self, tmp_path):
@@ -518,6 +544,11 @@ class TestRunExperiment:
             run_experiment("ex99", out_dir=str(tmp_path))
         with pytest.raises(ValueError):
             run_experiment("ex1", out_dir=str(tmp_path), repetitions=0)
+
+    def test_negative_seed_is_named(self, tmp_path):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            run_experiment("ex1", out_dir=str(tmp_path), repetitions=3, seed=-1)
+        assert not os.path.exists(tmp_path / "ex1")
 
     def test_experiment_configs_are_complete(self):
         for name, cfg in EXPERIMENTS.items():

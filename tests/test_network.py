@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pnet.activation import evaluate_many
+from pnet.data import TASKS
 from pnet.network import (
+    HEADS,
     ModelFormatError,
     PNetwork,
     fmt_float,
@@ -94,6 +96,9 @@ class TestValidate:
         net.head = "nonsense"
         with pytest.raises(ValueError):
             net.validate()
+
+    def test_heads_are_the_data_tasks(self):
+        assert HEADS is TASKS
 
     def test_bad_weight_shape(self):
         net = init_network([2, 2], "regression", lam=1.0, initial_p=2.0, seed=0)

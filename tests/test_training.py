@@ -168,16 +168,12 @@ class TestTrainConfig:
                 TrainConfig(0.1, 0.0, 10, 1e-3, inner_iters=bad)
         assert TrainConfig(0.1, 0.0, np.int64(3), 1e-3, inner_iters=np.int32(5)).max_iters == 3
         good = dict(alpha_w=0.1, alpha_p=0.0, max_iters=10, max_error=1e-3)
-        for name in ("alpha_w", "alpha_p", "max_error", "max_gradient"):
+        for name in ("alpha_w", "alpha_p", "max_error"):
             for bad in (True, np.True_):
                 with pytest.raises(ValueError, match=f"{name} must be a number"):
                     TrainConfig(**{**good, name: bad})
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0.0, 10, 1e-3, update="online")
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 0.0, 10, 1e-3, max_gradient=np.inf)
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 0.0, 10, 1e-3, update="incremental", max_gradient=1e-4)
 
 
 class TestTrainBatch:
@@ -236,7 +232,7 @@ class TestTrainBatch:
     def test_divergence_raises(self):
         net = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.0, seed=9)
         cfg = TrainConfig(alpha_w=1e12, alpha_p=0.0, max_iters=50, max_error=1e-300)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError):
             train(net, toy_regression(seed=9), cfg)
 
     @pytest.mark.parametrize("update", UPDATE_MODES)
@@ -248,7 +244,7 @@ class TestTrainBatch:
         net.weights[0][:] = [[0.0, 1e300]]
         data = Dataset(inputs=np.array([[1.0]]), targets=np.array([[0.0]]), task="regression")
         cfg = TrainConfig(alpha_w=0.1, alpha_p=0.0, max_iters=2, max_error=1e-9, update=update)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as info:
+        with pytest.raises(TrainingDivergedError) as info:
             train(net, data, cfg)
         if update == "incremental":
             assert isinstance(info.value.__cause__, OverflowError)
@@ -257,10 +253,10 @@ class TestTrainBatch:
     def test_overflowed_pre_activation_raises_diverged(self, update):
         # One step leaves the weights finite, but the hidden outputs times
         # them overflow: the measurement's solve once raised a bare
-        # ValueError on its infinite input.
+        # ValueError on its infinite input, and then warned of the overflow.
         net = init_network([1, 3, 1], "regression", 1.0, 2.0, seed=0)
         cfg = TrainConfig(alpha_w=1e300, alpha_p=0.0, max_iters=5, max_error=1e-300, update=update)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError, match="iteration 1$"):
+        with pytest.raises(TrainingDivergedError, match="iteration 1$"):
             train(net, toy_regression(seed=0), cfg)
 
     def test_determinism(self):
