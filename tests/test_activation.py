@@ -318,6 +318,70 @@ class TestScalarLayerEdges:
         assert_allclose(da, dv_da_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
         assert_allclose(dp, dv_dp_many(v, p, 1e-10), rtol=1e-12, atol=1e-300)
 
+    # The cases below pin `_scalar_layer`'s exact outputs, recorded before
+    # its per-neuron path traded the max/min/abs builtins for conditional
+    # expressions: any rewrite of that path must keep every bit.
+
+    def test_negative_zero_input(self):
+        for lam, da_p2 in ((1.0, 0.3333333333333333), (1e-10, 0.9999999998)):
+            v, da, dp = scalar_layer([-0.0] * 5, self.P, lam)
+            assert_array_equal(v, np.zeros(5))
+            assert np.all(np.signbit(v))
+            assert_array_equal(da, [0.0, 0.0, da_p2, 1.0, 1.0])
+            assert_array_equal(dp, np.zeros(5))
+
+    def test_subnormal_input(self):
+        # |a| = 1e-310 lies below the smallest normal float, where the start's
+        # logarithm is taken at the smallest normal instead.
+        a = [1e-310, -1e-310, 1e-310, -1e-310, 1e-310]
+        for lam, v_p2, dp_p2 in ((1.0, 3.333333333333e-311, 1.5875555358150772e-308),
+                                 (1e-10, 9.999999998e-311, 1.4266027e-317)):
+            v, da, dp = scalar_layer(a, self.P, lam)
+            assert_array_equal(v, [0.0, -0.0, v_p2, -1e-310, 1e-310])
+            assert_array_equal(np.signbit(v), [False, True, False, True, False])
+            assert_array_equal(da, [0.0, 0.0, 1.0 / (1.0 + 2.0 * lam), 1.0, 1.0])
+            assert_array_equal(dp, [0.0, 0.0, dp_p2, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "lam, want",
+        [
+            # log K + log n is at most 0 on lanes 0, 4 and 5 (the start is
+            # x/d) and above 0 on the others.
+            (1.0, (
+                [0.0788353903933773, 6.250000000000003, 0.929337810514492, 1.023520434666863,
+                 -0.16666666666666666, -3.3333333333333335],
+                [0.2723931248910011, 0.7692307692307694, 0.11726816077551408, 1.0349075744811567e-05,
+                 0.3333333333333333, 0.3333333333333333],
+                [0.21495830771740726, -7.209369606966284, 0.0005243896520866096, -0.00034373483615615506,
+                 -0.14352882991422833, 3.786606231835414],
+            )),
+            # ... and on lane 2 only at this lambda.
+            (1e-10, (
+                [0.49999999989393407, 9.99999999952566, 0.9999999900000097, 1.2915328049544343,
+                 -0.4999999999, -9.999999998],
+                [0.999999999893934, 0.999999999976283, 0.9999990100019502, 1.3062486127581496e-05,
+                 0.9999999998, 0.9999999998],
+                [2.8086826633904587e-12, -1.4084397759593003e-09, -9.999970200073248e-11,
+                 -0.003467912496362461, -1.9314718068268643e-11, 5.605170183346024e-09],
+            )),
+        ],
+    )
+    def test_start_on_both_sides_of_its_switch(self, lam, want):
+        a = [0.5, 10.0, 1.0, 1e3, -0.5, -10.0]
+        p = [1.5, 1.5, 100.0, 100.0, 2.0, 2.0]
+        for got, expected in zip(scalar_layer(a, p, lam), want):
+            assert_array_equal(got, expected)
+
+    def test_non_finite_input(self):
+        # NaN and infinite pre-activations give NaN outputs and
+        # sensitivities; only the p = 2 slope, which |v|**0 = 1 makes
+        # independent of v, stays finite.
+        a = [np.nan] * 5 + [np.inf, -np.inf, np.inf, -np.inf, np.inf]
+        v, da, dp = scalar_layer(a, self.P * 2, 1.0)
+        assert np.all(np.isnan(v)) and np.all(np.isnan(dp))
+        assert_array_equal(np.isnan(da), [True, True, False, True, True] * 2)
+        assert_array_equal(da[[2, 7]], [1.0 / 3.0, 1.0 / 3.0])
+
 
 class TestThreshold:
     def test_slope_is_half_at_threshold(self):

@@ -1,5 +1,7 @@
 """Tests for gradient computation and the training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -559,6 +561,51 @@ class TestTrainIncremental:
         e0 = mse(forward_batch(net, X).outputs[-1], Y)
         _, log = train(net, data, TrainConfig(0.5, 0.0, 60, 1e-300, update="incremental"))
         assert log.errors[-1] < e0
+
+
+def _digest_cases():
+    ex2a = init_network([1, 10, 5, 3, 1], "regression", lam=1e-10, initial_p=100.0, seed=1,
+                        initial_p_output=2.0)
+    square = gen_square(100, seed=1)
+    rng = np.random.default_rng(23)
+    X = 2.0 * rng.standard_normal((20, 2))
+    fixed = nguyen_widrow_init([2, 4, 2], "regression", seed=23)
+    fixed.activations = ["satlins", "purelin"]
+    rng = np.random.default_rng(22)
+    Xc = rng.standard_normal((20, 2))
+    Yc = np.zeros((20, 2))
+    Yc[np.arange(20), (Xc[:, 0] > 0).astype(int)] = 1.0
+    return {
+        "ex2a": (ex2a, square, 0.01, 1e4),
+        "ex2a-frozen": (ex2a, square, 0.01, 0.0),
+        "satlins-purelin": (fixed, Dataset(X, np.tanh(X[:, ::-1]), "regression"), 0.2, 2.0),
+        "implicit-softmax": (init_network([2, 4, 2], "classification", lam=1.0, initial_p=2.5, seed=22),
+                             Dataset(Xc, Yc, "classification"), 0.5, 2.0),
+    }
+
+
+class TestIncrementalPassDigests:
+    # SHA-256 of the weights, the p values and `log.errors` after three
+    # incremental passes.  The per-pair pass is tuned for speed, and every
+    # such change must leave its arithmetic bit for bit as it was; these
+    # digests were recorded before the pass was reworked (numpy 2.4 with
+    # OpenBLAS on x86-64; another BLAS or libm may round differently).
+    DIGESTS = {
+        "ex2a": "066876a23d08d574152dd01481b3059b97d8ba605908b1e21d10729e2bfd9966",
+        "ex2a-frozen": "46230b0c6b3fddae7e855495f61f53fcd6ffc315dc4be1b1f7015535e49a3f9d",
+        "satlins-purelin": "04b538b2a54694c9a840a1ac778ee80dfb1d542abcf8e6fb38bdab3cb37ac295",
+        "implicit-softmax": "11acf53660579616f2e6e7406251281537153c5eed9405173858617009b6f0aa",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_three_passes_are_bit_identical(self, name):
+        net, data, alpha_w, alpha_p = _digest_cases()[name]
+        trained, log = train(net, data, TrainConfig(alpha_w, alpha_p, 3, 1e-300, update="incremental"))
+        h = hashlib.sha256()
+        for arr in trained.weights + [pk for pk in trained.p_values if pk is not None]:
+            h.update(arr.tobytes())
+        h.update(log.errors.tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
 
 
 class TestClassificationError:
