@@ -137,6 +137,9 @@ def split_train_test(data: Dataset, train_per_class: int, test_total: int, seed:
     """
     if data.task != "classification":
         raise ValueError("split_train_test needs a classification dataset")
+    for name, count in (("train_per_class", train_per_class), ("test_total", test_total)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     labels = data.labels
     classes = np.unique(labels)

@@ -73,6 +73,8 @@ class PNetwork:
             want = (sizes[k + 1], sizes[k] + 1)
             if self.weights[k].shape != want:
                 raise ValueError(f"layer {k + 1}: weight shape {self.weights[k].shape}, expected {want}")
+            if not np.all(np.isfinite(self.weights[k])):
+                raise ValueError(f"layer {k + 1}: weights must be finite")
             kind = self.activations[k]
             if kind not in ACTIVATION_KINDS:
                 raise ValueError(f"layer {k + 1}: unknown activation {kind!r}")
@@ -84,8 +86,8 @@ class PNetwork:
                     raise ValueError(f"layer {k + 1}: a {kind} layer must not carry p values")
             elif pk is None or pk.shape != (sizes[k + 1],):
                 raise ValueError(f"layer {k + 1}: p vector missing or misshaped")
-            elif np.any(pk < P_MIN) or np.any(pk > P_MAX):
-                raise ValueError(f"layer {k + 1}: p outside [{P_MIN}, {P_MAX}]")
+            elif not np.all((pk >= P_MIN) & (pk <= P_MAX)):  # NaN fails both
+                raise ValueError(f"layer {k + 1}: p must lie in [{P_MIN}, {P_MAX}], got {pk.min()}..{pk.max()}")
         if (self.head == "classification") != (self.activations[-1] == "softmax"):
             raise ValueError("the output layer must be softmax exactly when the head is classification")
 
@@ -114,8 +116,8 @@ class ForwardTrace:
     Derivative terms are not cached: backpropagation reads only the
     outputs and forms every slope from them (`derivative_terms`,
     `fixed_deriv`), so a forward pass that is never backpropagated does
-    not pay for them.  ``activations`` is kept for the gradient oracle
-    and the benchmark's solver check.
+    not pay for them.  ``activations`` is kept only for the benchmark's
+    solver check.
     """
 
     activations: list[np.ndarray] = field(default_factory=list)
@@ -220,15 +222,15 @@ def nguyen_widrow_init(
 
 
 def forward_batch(
-    net: PNetwork, X: np.ndarray, inner_iters: int = 100, start: ForwardTrace | None = None
+    net: PNetwork, X: np.ndarray, inner_iters: int = 100, start: list[np.ndarray] | None = None
 ) -> ForwardTrace:
     """Evaluate the network on an N x r0 batch, caching the full trace.
 
     ``inner_iters`` is the Newton step budget of the implicit layers.
-    ``start`` optionally warm-starts them: a trace over the same rows
-    whose outputs serve as each implicit layer's ``v0`` in
-    `evaluate_many`, typically of the same net a small parameter step
-    ago (batch training passes its extrapolation of the last two).
+    ``start`` optionally warm-starts them: a list of outputs laid out as
+    a trace's, over the same rows, whose entries serve as the implicit
+    layers' ``v0`` in `evaluate_many`; typically those of the same net a
+    small parameter step ago (batch training extrapolates its last two).
     Warm starts may lie on either side of the root and take at most 6
     steps per lane; the outputs then depend on ``start`` at rounding
     level only.
@@ -239,10 +241,10 @@ def forward_batch(
     if not np.all(np.isfinite(X)):
         raise ValueError("input batch must be finite")
     if start is not None:
-        shapes = [np.shape(V) for V in start.outputs[1:]]
+        shapes = [np.shape(V) for V in start[1:]]
         want = [(X.shape[0], r) for r in net.layer_sizes[1:]]
         if shapes != want:
-            raise ValueError(f"start trace has output shapes {shapes}, expected {want}")
+            raise ValueError(f"start has output shapes {shapes}, expected {want}")
     trace = ForwardTrace(outputs=[X])
     V = X
     for k, kind in enumerate(net.activations):
@@ -250,7 +252,7 @@ def forward_batch(
         A = V @ W[:, 1:].T + W[:, 0]
         trace.activations.append(A)
         if kind == "implicit":
-            v0 = None if start is None else start.outputs[k + 1]
+            v0 = None if start is None else start[k + 1]
             V = evaluate_many(A, net.p_values[k][None, :], net.lam, inner_iters, v0)
         else:
             V = fixed_eval(kind, A)

@@ -195,7 +195,8 @@ def _loss_and_grads(net, X, Y, inner_iters):
     train with a diagonal output delta rather than the full softmax Jacobian,
     so the matching scalar freezes that delta at the base point:
     loss(theta) = mean_d sum_j c_dj * a_dj(theta).  The gradient of that
-    frozen-delta loss is exactly what the production backprop computes.
+    frozen-delta loss is exactly what the production backprop computes;
+    the loss recomputes a from the probed pass's outputs and weights.
     """
     from . import network as nw
     from . import training as tr
@@ -211,7 +212,8 @@ def _loss_and_grads(net, X, Y, inner_iters):
         frozen = (yhat - Y) * yhat * (1.0 - yhat)
 
         def loss(mod) -> float:
-            return float(np.sum(frozen * fresh_trace(mod).activations[-1]) / X.shape[0])
+            V, W = fresh_trace(mod).outputs, mod.weights[-1]
+            return float(np.sum(frozen * (V[-2] @ W[:, 1:].T + W[:, 0])) / X.shape[0])
 
     else:
 

@@ -166,10 +166,8 @@ def _p_snapshot(net: PNetwork) -> np.ndarray:
     return np.concatenate([pk for pk in net.p_values if pk is not None])
 
 
-def _apply_batch_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool, trace: ForwardTrace | None) -> None:
-    """One mean-gradient step from ``trace``, a pass of ``X`` at the current parameters, or a cold one if None."""
-    if trace is None:
-        trace = forward_batch(net, X, cfg.inner_iters)
+def _apply_batch_pass(net: PNetwork, trace: ForwardTrace, Y, cfg: TrainConfig, adapt_p: bool) -> None:
+    """One mean-gradient step from ``trace``, a forward pass at the current parameters."""
     wg, pg = backprop_batch(net, trace, Y, compute_p=adapt_p)
     for k in range(net.n_layers):
         net.weights[k] -= cfg.alpha_w * wg[k]
@@ -241,26 +239,27 @@ def _apply_incremental_pass(net: PNetwork, X, Y, cfg: TrainConfig, adapt_p: bool
                 pk[:] = new
 
 
-def _warm_start(trace: ForwardTrace | None, older: list[tuple[int, np.ndarray]] | None) -> ForwardTrace | None:
-    """The start of the measurement after ``trace``, whose gradients are taken.
+def _warm_start(net: PNetwork, last: list[np.ndarray], older: list[np.ndarray] | None) -> list[np.ndarray]:
+    """The start of the measurement after the one whose outputs are ``last``.
 
-    ``older`` lists ``(i, V)`` for each implicit output ``trace.outputs[i]``
-    of the measurement before ``trace``.  With it, an implicit layer
-    starts at ``2*V_t - V_(t-1)``, written over the dead older arrays;
-    without it (or with no implicit layer) the start is ``trace`` itself.
+    With ``older``, the outputs of the measurement before ``last``, each
+    implicit layer starts at ``2*V_t - V_(t-1)``, written over ``older``'s
+    dead array, and every other layer at ``last``'s output; without it
+    the start is ``last`` itself.
     """
-    if not older:
-        return trace
-    outputs = list(trace.outputs)
-    for i, V in older:
-        np.subtract(outputs[i], V, out=V)
-        V += outputs[i]
-        outputs[i] = V
-    return ForwardTrace(outputs=outputs)
+    if older is None:
+        return last
+    start = list(last)
+    for i, kind in enumerate(net.activations, 1):
+        if kind == "implicit":
+            start[i] = np.subtract(last[i], older[i], out=older[i])
+            start[i] += last[i]
+    return start
 
 
 def check_dataset(net: PNetwork, data: Dataset) -> None:
-    """Raise ValueError unless ``data`` has ``net``'s task and row widths."""
+    """Raise ValueError unless ``net`` is valid and ``data`` has its task and row widths."""
+    net.validate()
     if (data.task == "classification") != (net.head == "classification"):
         raise ValueError(f"dataset task {data.task!r} does not match network head {net.head!r}")
     sizes = net.layer_sizes
@@ -286,18 +285,17 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
     The dataset must pass `check_dataset`; both update modes take nets of
     every kind.
 
-    Batch training carries the last measurement's trace between
-    iterations, plus the implicit-layer outputs of the one before it.  A
-    batch update takes its gradients from the last trace, and the next
-    measurement warm-starts its activation solves (`forward_batch`'s
-    ``start``) where the roots are heading: each implicit layer starts at
-    ``2*V_t - V_(t-1)`` from its last two outputs, written over the older
-    outputs, which are dead once the gradients are taken.  The first warm
-    measurement has one trace and starts at its outputs; fixed-kind
-    layers hold nothing extra.  On ex3 the extrapolated start is 40 to
-    100 times closer to the new root than the last output.  Starts lie
-    on either side of the new roots; a warm lane takes at most 6 Newton
-    steps, and the results depend on the start at rounding level only.
+    Batch training takes every forward pass itself: a cold pass inside
+    iteration 1, then one measurement per iteration.  A batch update
+    takes its gradients from the last pass.  From the third measurement
+    on, each implicit layer starts its solves (`forward_batch`'s
+    ``start``) where its roots are heading, at ``2*V_t - V_(t-1)`` from
+    the last two measured outputs, written over the older ones, which are
+    dead by then; the second starts at the first's outputs.  On ex3 the
+    extrapolated start is 40 to 100 times closer to the new root than the
+    last output.  Starts lie on either side of the new roots; a warm lane
+    takes at most 6 Newton steps, and the results depend on the start at
+    rounding level only.
     An incremental pass solves every pair cold and moves the parameters
     after every pair, so the measurement after it starts cold too.
     """
@@ -311,19 +309,19 @@ def train(net: PNetwork, data: Dataset, cfg: TrainConfig) -> tuple[PNetwork, Tra
 
     errors: list[float] = []
     p_rows: list[np.ndarray] = []
-    trace = older = None
-    implicit = [k + 1 for k, kind in enumerate(net.activations) if kind == "implicit"]
+    trace = start = None  # the last measurement, and the next one's start
     with np.errstate(over="raise", invalid="raise"):
         try:
             for it in range(cfg.max_iters):
-                if batch:
-                    _apply_batch_pass(net, X, Y, cfg, adapt_p, trace)
+                if batch:  # from the last measurement, or in iteration 1 from a cold pass
+                    _apply_batch_pass(net, trace or forward_batch(net, X, cfg.inner_iters), Y, cfg, adapt_p)
                 else:
                     _apply_incremental_pass(net, X, Y, cfg, adapt_p)
                 if not all(np.all(np.isfinite(W)) for W in net.weights):
                     raise TrainingDivergedError(f"non-finite weight after iteration {it + 1}")
-                newer = forward_batch(net, X, cfg.inner_iters, start=_warm_start(trace, older) if batch else None)
-                older = None if not batch or trace is None else [(i, trace.outputs[i]) for i in implicit]
+                newer = forward_batch(net, X, cfg.inner_iters, start=start)
+                if batch:
+                    start = _warm_start(net, newer.outputs, None if trace is None else trace.outputs)
                 trace = newer
                 e = mse(trace.outputs[-1], Y)
                 if not np.isfinite(e):

@@ -22,7 +22,7 @@ from pnet.cli import (
     run_shape,
 )
 from pnet.data import Dataset, gen_activity_standin, gen_square, load_csv, save_csv
-from pnet.network import forward_batch, init_network, load_network, save_network
+from pnet.network import forward_batch, init_network, load_network, nguyen_widrow_init, save_network
 from pnet.training import UPDATE_MODES, mse
 
 
@@ -226,6 +226,33 @@ def test_shape_outside_the_activation_domain_is_usage_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
+# A NaN p once passed `PNetwork.validate` and failed later as a diverged run
+# (exit 1) or in the solver; both are usage errors that name the layer.
+def test_nan_initial_p_is_usage_error(tmp_path, capsys):
+    code = main(["experiment", "ex1", "--out", str(tmp_path), "--repetitions", "1", "--set", "initial_p_hidden=NaN",
+                 "--set", "max_iterations=3", "--set", "data_n=8", "--set", "grid_points=11"])
+    assert code == 2
+    assert "error: layer 1: p must lie in" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ex1")
+
+
+def test_gradcheck_nan_initial_p_is_usage_error(capsys):
+    assert main(["gradcheck", "--initial-p", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "error: layer 1: p must lie in" in captured.err
+    assert captured.out == ""
+
+
+# A negative count once took "all but N" rows: 25 training rows, 10 test rows, exit 0.
+@pytest.mark.parametrize("key", ["train_per_class", "test_total"])
+def test_negative_split_count_is_usage_error(tmp_path, capsys, key):
+    code = main(["experiment", "ex3", "--out", str(tmp_path), "--repetitions", "1", "--set", f"{key}=-4",
+                 "--set", "max_iterations=1", "--set", 'variants=["baseline"]'])
+    assert code == 2
+    assert f"error: {key} must be >= 1, got -4" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ex3")
+
+
 class TestShapeCommand:
     def test_columns_and_closed_forms(self, tmp_path):
         out = str(tmp_path / "shape.csv")
@@ -404,6 +431,20 @@ class TestTrainEvalCommands:
         assert main(["eval", "--model", str(model_path), "--data", data_path]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {model_path} line 3: cannot read 'lambda'\n"
+        assert captured.out == ""
+
+    def test_eval_on_non_finite_baseline_weight_is_usage_error(self, tmp_path, capsys):
+        # A baseline file with an inf weight once loaded and printed an mse, exit 0.
+        model_path, data_path = tmp_path / "model.txt", str(tmp_path / "data.csv")
+        save_network(nguyen_widrow_init([1, 3, 1], "regression", seed=0), str(model_path))
+        lines = model_path.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("w "))
+        lines[row] = "w inf " + " ".join(lines[row].split()[2:])
+        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        save_csv(gen_square(6, seed=5), data_path)
+        assert main(["eval", "--model", str(model_path), "--data", data_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: layer 1: weights must be finite\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("update", UPDATE_MODES)

@@ -174,6 +174,15 @@ class TestSplitTrainTest:
         with pytest.raises(ValueError):
             split_train_test(gen_square(10), 5, 2, seed=0)
 
+    @pytest.mark.parametrize("count", [0, -4])
+    @pytest.mark.parametrize("name", ["train_per_class", "test_total"])
+    def test_counts_below_one_rejected(self, name, count):
+        # A negative count once sliced "all but N" rows and trained on them.
+        d = gen_activity_standin(per_class=10, seed=977)
+        counts = {"train_per_class": 5, "test_total": 5, name: count}
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {count}"):
+            split_train_test(d, **counts, seed=0)
+
 
 class TestCsvRoundTrip:
     def test_regression_exact(self, tmp_path):

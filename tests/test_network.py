@@ -112,6 +112,30 @@ class TestValidate:
         with pytest.raises(ValueError):
             net.validate()
 
+    def test_nan_p_rejected(self):
+        # A NaN p passed the range test, which compares false for NaN.
+        net = init_network([2, 3, 2], "regression", lam=1.0, initial_p=2.0, seed=0)
+        net.p_values[1] = np.array([2.0, np.nan])
+        with pytest.raises(ValueError, match="layer 2: p must lie in"):
+            net.validate()
+        with pytest.raises(ValueError, match="layer 1: p must lie in"):
+            init_network([2, 3, 2], "regression", lam=1.0, initial_p=np.nan, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, value):
+        net = nguyen_widrow_init([2, 3, 1], "regression", seed=0)
+        net.weights[1][0, 2] = value
+        with pytest.raises(ValueError, match="layer 2: weights must be finite"):
+            net.validate()
+
+    def test_nan_p_in_model_file_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_network(init_network([2, 3, 1], "regression", lam=1.0, initial_p=3.0, seed=0), str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("p 3 3 3\n", "p nan 3 3\n"), encoding="utf-8")
+        with pytest.raises(ValueError, match="layer 1: p must lie in"):
+            load_network(str(path))
+
     def test_classification_p_on_output_rejected(self):
         net = init_network([2, 3, 2], "classification", lam=1.0, initial_p=2.0, seed=0)
         net.p_values[-1] = np.full(2, 2.0)
@@ -216,11 +240,11 @@ class TestForward:
         cold = forward_batch(net, X, inner_iters=10)
         moved = net.copy()
         moved.weights[0] *= 1.01
-        warm = forward_batch(moved, X, inner_iters=10, start=cold)
+        warm = forward_batch(moved, X, inner_iters=10, start=cold.outputs)
         for k, V in enumerate(forward_batch(moved, X, inner_iters=10).outputs):
             assert_allclose(warm.outputs[k], V, rtol=1e-12, atol=0)
         # Starting at the roots themselves, one step confirms them.
-        again = forward_batch(moved, X, inner_iters=1, start=warm)
+        again = forward_batch(moved, X, inner_iters=1, start=warm.outputs)
         assert_allclose(again.outputs[-1], warm.outputs[-1], rtol=1e-12, atol=0)
 
     def test_mismatched_start_trace_rejected(self):
@@ -231,7 +255,7 @@ class TestForward:
         other_net = forward_batch(init_network([2, 3, 3, 2], "classification", 1.0, 3.0, seed=10), X)
         for start in (one_row, forward_batch(net, X[:5]), other_net):
             with pytest.raises(ValueError):
-                forward_batch(net, X, start=start)
+                forward_batch(net, X, start=start.outputs)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Tests for gradient computation and the training loop."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ class TestTrainBatch:
         with pytest.raises(ValueError, match="layer_sizes"):
             train(net, toy_regression(), TrainConfig(0.1, 0.0, 5, 1e-3, update=update))
 
+    @pytest.mark.parametrize("update", UPDATE_MODES)
+    def test_invalid_net_rejected_before_training(self, update):
+        # A hand-built net once failed in the solver ("activation input
+        # must be finite") or in a numpy matmul.
+        cfg = TrainConfig(0.1, 0.0, 5, 1e-3, update=update)
+        low_p = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.0, seed=0)
+        low_p.p_values[0][2] = 0.5
+        with pytest.raises(ValueError, match="layer 1: p must lie in"):
+            train(low_p, toy_regression(), cfg)
+        misshaped = init_network([1, 4, 1], "regression", lam=1.0, initial_p=2.0, seed=0)
+        misshaped.weights[1] = np.zeros((1, 4))
+        with pytest.raises(ValueError, match="layer 2: weight shape"):
+            train(misshaped, toy_regression(), cfg)
+
     def test_p_labels_and_history_shape(self):
         net = init_network([1, 4, 2], "regression", lam=1.0, initial_p=2.0, seed=11)
         cfg = TrainConfig(alpha_w=0.01, alpha_p=1.0, max_iters=4, max_error=1e-300)
@@ -321,9 +336,10 @@ class TestWarmStartedBatch:
     def _check_matches_cold_solves(net, data, cfg):
         trained, log = train(net, data, cfg)
         # The same updates with every evaluation solved cold.
-        ref, trace, errors = net.copy(), None, []
+        ref, errors = net.copy(), []
+        trace = forward_batch(ref, data.inputs, cfg.inner_iters)
         for _ in range(cfg.max_iters):
-            _apply_batch_pass(ref, data.inputs, data.targets, cfg, True, trace)
+            _apply_batch_pass(ref, trace, data.targets, cfg, True)
             trace = forward_batch(ref, data.inputs, cfg.inner_iters)
             errors.append(mse(trace.outputs[-1], data.targets))
         assert_allclose(log.errors, errors, rtol=1e-12, atol=0)
@@ -365,7 +381,7 @@ class TestWarmStartedBatch:
         calls = []
 
         def recording(net, X, inner_iters=100, start=None):
-            seen = None if start is None else [V.copy() for V in start.outputs]
+            seen = None if start is None else [V.copy() for V in start]
             trace = forward_batch(net, X, inner_iters, start)
             calls.append((start, seen, [V.copy() for V in trace.outputs]))
             return trace
@@ -373,7 +389,7 @@ class TestWarmStartedBatch:
         monkeypatch.setattr(pnet.training, "forward_batch", recording)
         net, data = self._net_and_data()
         train(net, data, TrainConfig(0.1, 0.1, 5, 1e-300, inner_iters=10))
-        # One cold solve inside the first update, then one per measurement.
+        # One cold solve inside the first iteration, then one per measurement.
         assert len(calls) == 6 and calls[0][0] is None and calls[1][0] is None
         assert_array_equal(calls[2][1][1], calls[1][2][1])
         for j in range(3, 6):
@@ -399,7 +415,8 @@ class TestWarmStartedBatch:
         net = nguyen_widrow_init([60, 30, 15, 5], "classification", seed=13)
         train(net, data, TrainConfig(0.1, 0.0, 4, 1e-300))
         assert starts[:2] == [None, None]
-        assert all(s is t for s, t in zip(starts[2:], traces[1:-1], strict=True))
+        for start, trace in zip(starts[2:], traces[1:-1], strict=True):
+            assert all(s is t for s, t in zip(start[1:], trace.outputs[1:], strict=True))
 
     def test_reruns_are_byte_identical(self):
         net, data = self._net_and_data()
@@ -584,6 +601,14 @@ def _digest_cases():
     }
 
 
+def _digest(trained, log) -> str:
+    h = hashlib.sha256()
+    for arr in trained.weights + [pk for pk in trained.p_values if pk is not None]:
+        h.update(arr.tobytes())
+    h.update(log.errors.tobytes())
+    return h.hexdigest()
+
+
 class TestIncrementalPassDigests:
     # SHA-256 of the weights, the p values and `log.errors` after three
     # incremental passes.  The per-pair pass is tuned for speed, and every
@@ -601,11 +626,32 @@ class TestIncrementalPassDigests:
     def test_three_passes_are_bit_identical(self, name):
         net, data, alpha_w, alpha_p = _digest_cases()[name]
         trained, log = train(net, data, TrainConfig(alpha_w, alpha_p, 3, 1e-300, update="incremental"))
-        h = hashlib.sha256()
-        for arr in trained.weights + [pk for pk in trained.p_values if pk is not None]:
-            h.update(arr.tobytes())
-        h.update(log.errors.tobytes())
-        assert h.hexdigest() == self.DIGESTS[name]
+        assert _digest(trained, log) == self.DIGESTS[name]
+
+
+class TestBatchPassDigests:
+    # SHA-256 of the weights, the p values and `log.errors` after five
+    # batch iterations, so measurements 3 to 5 start from the extrapolated
+    # start.  Recorded before the batch loop's forward passes were moved
+    # into `train` (numpy 2.4 with OpenBLAS on x86-64; another BLAS or libm
+    # may round differently).
+    CFG = TrainConfig(alpha_w=0.1, alpha_p=0.1, max_iters=5, max_error=1e-300, inner_iters=10)
+    DIGESTS = {
+        "ex3": "9c60013160cd0f7e9de6ae5f11c3d06db9ba845d4eda54d5ca6da6abd72d2918",
+        "ex3-frozen": "a4397e73c3fef27a0838b77c9d6adcbade89190101abd7b933a4aae210489f56",
+        "tansig-softmax": "49185cadcdd04df3c5cfb0ef14fd422c3f38b45efbb91a45615be2064dab9af8",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_five_iterations_are_bit_identical(self, name):
+        data = gen_activity_standin(60, 977)
+        if name == "tansig-softmax":
+            net = nguyen_widrow_init([60, 30, 15, 5], "classification", seed=13)
+        else:
+            net = init_network([60, 30, 15, 5], "classification", lam=1.0, initial_p=5.0, seed=13)
+        alpha_p = 0.0 if name == "ex3-frozen" else self.CFG.alpha_p
+        trained, log = train(net, data, replace(self.CFG, alpha_p=alpha_p))
+        assert _digest(trained, log) == self.DIGESTS[name]
 
 
 class TestClassificationError:
